@@ -9,7 +9,6 @@ use srsf_bench::rule;
 use srsf_core::colored::ColorScheme;
 use srsf_core::{Driver, FactorOpts, Solver};
 use srsf_geometry::grid::UnitGrid;
-use srsf_geometry::procgrid::ProcessGrid;
 use srsf_iterative::gmres::GmresOpts;
 use srsf_iterative::precond::gmres_factorized;
 use srsf_kernels::fast_op::FastKernelOp;
@@ -61,35 +60,25 @@ fn main() {
             let sh_solve = t1.elapsed().as_secs_f64();
             let sh_rel = srsf_linalg::relative_residual(&fast, &xsh, &b);
 
-            // Distributed: p simulated ranks.
-            let (di_fact, di_solve, di_rel, fdi) = if p == 1 {
-                let t = Instant::now();
-                let f = Solver::builder(&kernel, &pts)
-                    .opts(opts.clone())
-                    .build()
-                    .unwrap();
-                let tf = t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                let x = f.solve(&b);
-                let ts = t.elapsed().as_secs_f64();
-                (tf, ts, srsf_linalg::relative_residual(&fast, &x, &b), f)
+            // Distributed: p simulated ranks, served from the resident rank
+            // world so the timed solve is Algorithm 2's distributed sweep.
+            let driver = if p == 1 {
+                Driver::Sequential
             } else {
-                let pg = ProcessGrid::new(p);
-                let t = Instant::now();
-                let (f, x) = Solver::builder(&kernel, &pts)
-                    .opts(opts.clone())
-                    .driver(Driver::Distributed { grid: pg })
-                    .build_with_solution(&b)
-                    .unwrap();
-                let total = t.elapsed().as_secs_f64();
-                let ts = f.stats().solve_s;
-                (
-                    total - ts,
-                    ts,
-                    srsf_linalg::relative_residual(&fast, &x, &b),
-                    f,
-                )
+                Driver::distributed(p)
             };
+            let t = Instant::now();
+            let fdi = Solver::builder(&kernel, &pts)
+                .opts(opts.clone())
+                .driver(driver)
+                .resident(p > 1)
+                .build()
+                .unwrap();
+            let di_fact = t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            let x = fdi.solve(&b);
+            let di_solve = t.elapsed().as_secs_f64();
+            let di_rel = srsf_linalg::relative_residual(&fast, &x, &b);
             let nit = gmres_factorized(
                 &fast,
                 &fdi,

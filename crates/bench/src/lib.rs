@@ -13,7 +13,6 @@
 
 use srsf_core::{Driver, FactorOpts, Solver};
 use srsf_geometry::grid::UnitGrid;
-use srsf_geometry::procgrid::ProcessGrid;
 use srsf_iterative::gmres::{gmres, GmresOpts};
 use srsf_iterative::precond::{gmres_factorized, pcg_factorized};
 use srsf_kernels::fast_op::FastKernelOp;
@@ -91,17 +90,26 @@ fn factor_and_solve<K: srsf_kernels::kernel::Kernel>(
     opts: &FactorOpts,
     b: &[K::Elem],
 ) -> FactorOutcome<K::Elem> {
-    if p == 1 {
-        let t0 = Instant::now();
-        let f = Solver::builder(kernel, pts)
-            .opts(opts.clone())
-            .build()
-            // INVARIANT: deliberate — the experiment harness aborts on setup failure
-            .expect("factorization");
-        let tfact = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let x = f.solve(b);
-        let tsolve = t1.elapsed().as_secs_f64();
+    // p > 1 serves from the resident rank world, so the timed solve is
+    // Algorithm 2's distributed sweep.
+    let driver = if p == 1 {
+        Driver::Sequential
+    } else {
+        Driver::distributed(p)
+    };
+    let t0 = Instant::now();
+    let f = Solver::builder(kernel, pts)
+        .opts(opts.clone())
+        .driver(driver)
+        .resident(p > 1)
+        .build()
+        // INVARIANT: deliberate — the experiment harness aborts on setup failure
+        .expect("factorization");
+    let tfact = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    let x = f.solve(b);
+    let tsolve = t1.elapsed().as_secs_f64();
+    let stats = f.comm_stats().cloned().unwrap_or_else(|| {
         let mut stats = WorldStats::default();
         stats.per_rank.push(srsf_runtime::stats::CommStats {
             msgs_sent: 0,
@@ -109,23 +117,9 @@ fn factor_and_solve<K: srsf_kernels::kernel::Kernel>(
             compute_s: f.stats().eliminate_s + f.stats().top_s,
             wait_s: 0.0,
         });
-        (f, x, stats, (tfact, tsolve))
-    } else {
-        let grid = ProcessGrid::new(p);
-        let t0 = Instant::now();
-        let (f, x) = Solver::builder(kernel, pts)
-            .opts(opts.clone())
-            .driver(Driver::Distributed { grid })
-            .build_with_solution(b)
-            // INVARIANT: deliberate — the experiment harness aborts on setup failure
-            .expect("distributed factorization");
-        let total = t0.elapsed().as_secs_f64();
-        let tsolve = f.stats().solve_s;
-        let tfact = (total - tsolve).max(0.0);
-        // INVARIANT: a Distributed-driver solver always carries comm stats
-        let stats = f.comm_stats().expect("distributed comm stats").clone();
-        (f, x, stats, (tfact, tsolve))
-    }
+        stats
+    });
+    (f, x, stats, (tfact, tsolve))
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -34,8 +34,7 @@
 //!   (`tag = level*64 + phase*8 + kind`) makes every frame of the sweep
 //!   unique per `(src, tag)`, and the matching queue buffers frames that
 //!   arrive ahead of their receive, so tag matching alone orders the
-//!   computation. (The in-world solve keeps its barriers; they separate
-//!   reused solve tags across passes.)
+//!   computation.
 //!
 //! All data moves through explicit byte messages with per-rank counters,
 //! so the §IV communication bounds (messages = O(log N + log p), words =
@@ -49,21 +48,20 @@
 //! `tests/transport_equiv.rs`).
 //!
 //! The phase machinery up to (and including) the top factorization is
-//! shared with the resident serving mode as [`factor_phase`]; everything
-//! below it — the record gather onto rank 0, the one-shot in-world vector
-//! solve — is the *gathered* mode only. The resident mode's counterpart
-//! lives in [`super::serve`].
+//! shared with the resident serving mode as [`factor_phase`]; the record
+//! gather onto rank 0 below it is the *gathered* mode only, which then
+//! serves every solve from the gathered factorization. The resident
+//! mode's counterpart lives in [`super::serve`].
 
-use super::{box_near_region, get_box, get_ids, order_key, owner_of_point, region_of, RankState};
+use super::{box_near_region, get_box, get_ids, order_key, region_of, RankState};
 use crate::colored::eliminate_color_round;
 use crate::elimination::{apply_output, BoxElimination, EliminationOutput, FactorError};
 use crate::levels::assemble_parent_block;
-use crate::sequential::{domain_for, factor_top, Factorization};
+use crate::sequential::{factor_top, Factorization};
 use crate::skeletonize::CompressionCtx;
-use crate::solve::{apply_downward, apply_upward, gather, scatter};
 use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
-use crate::wire::{put_box, put_ids, ScalarVec};
+use crate::wire::{put_box, put_ids};
 use crate::FactorOpts;
 use srsf_geometry::neighbors::near_field;
 use srsf_geometry::point::Point;
@@ -76,8 +74,7 @@ use srsf_runtime::codec::{ByteReader, ByteWriter, Wire};
 // runtime next to the transports, so a receive timeout on either backend
 // can decode the step it was waiting on; see `srsf_runtime::tags`.
 use srsf_runtime::tags::{
-    tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_RECORDS, KIND_SOLVE_REQ,
-    KIND_SOLVE_UP, KIND_SOLVE_VAL, KIND_TOP,
+    tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_RECORDS, KIND_TOP,
 };
 use srsf_runtime::world::{RankCtx, World};
 use srsf_runtime::WorldStats;
@@ -182,58 +179,18 @@ fn decode_record<T: Scalar>(r: &mut ByteReader) -> (u64, BoxElimination<T>) {
     (key, rec)
 }
 
-/// A factorization gathered on rank 0, the per-rank communication
-/// counters, and (when a right-hand side was supplied) the solution.
-pub type DistOutcome<T> = Result<(Factorization<T>, WorldStats, Option<Vec<T>>), FactorError>;
-
 /// What the gathered-mode build yields: the factorization assembled on
-/// rank 0, the algorithmic per-rank counters, the optional in-world
-/// solution, and each rank's *resident* record footprint in bytes — what
-/// the rank held before shipping its records to the gather (the number
+/// rank 0, the algorithmic per-rank counters, and each rank's *resident*
+/// record footprint in bytes — what the rank held before shipping its
+/// records to the gather (the number
 /// [`crate::Solver::memory_bytes_per_rank`] reports).
 pub(crate) struct DistBuild<T> {
     pub(crate) fact: Factorization<T>,
     pub(crate) stats: WorldStats,
-    pub(crate) x: Option<Vec<T>>,
     pub(crate) per_rank_bytes: Vec<usize>,
     /// Per-rank span reports when [`FactorOpts::trace`] was on (one per
     /// rank, rank order); empty otherwise.
     pub(crate) traces: Vec<srsf_trace::TraceReport>,
-}
-
-/// Distributed factorization; returns the factorization assembled on rank
-/// 0 and the per-rank communication statistics.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builder(kernel, pts).driver(Driver::Distributed { grid }).build()` instead"
-)]
-pub fn dist_factorize<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    grid: &ProcessGrid,
-    opts: &FactorOpts,
-) -> Result<(Factorization<K::Elem>, WorldStats), FactorError> {
-    let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-    let b = dist_factorize_with_tree(kernel, pts, &tree, grid, opts, None)?;
-    Ok((b.fact, b.stats))
-}
-
-/// Distributed factorization plus (optionally) one distributed solve.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builder(kernel, pts).driver(Driver::Distributed { grid }) \
-            .build_with_solution(rhs)` instead"
-)]
-pub fn dist_factorize_and_solve<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    grid: &ProcessGrid,
-    opts: &FactorOpts,
-    rhs: Option<&[K::Elem]>,
-) -> DistOutcome<K::Elem> {
-    let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-    let b = dist_factorize_with_tree(kernel, pts, &tree, grid, opts, rhs)?;
-    Ok((b.fact, b.stats, b.x))
 }
 
 /// Distributed factorization against a caller-provided tree (the
@@ -244,7 +201,6 @@ pub(crate) fn dist_factorize_with_tree<K: Kernel>(
     tree: &QuadTree,
     grid: &ProcessGrid,
     opts: &FactorOpts,
-    rhs: Option<&[K::Elem]>,
 ) -> Result<DistBuild<K::Elem>, FactorError> {
     let leaf = tree.leaf_level();
     let lmin = (opts.min_compress_level as u8).min(leaf);
@@ -253,7 +209,7 @@ pub(crate) fn dist_factorize_with_tree<K: Kernel>(
         .with_recv_timeout(opts.recv_timeout);
 
     let (results, _total_stats) =
-        world.run(|ctx| run_rank(ctx, kernel, pts, tree, grid, opts, leaf, lmin, rhs));
+        world.run(|ctx| run_rank(ctx, kernel, pts, tree, grid, opts, leaf, lmin));
 
     // Report the *algorithmic* per-rank counters (pre record-gather); the
     // gather that assembles the Factorization on rank 0 is an API artifact
@@ -279,11 +235,10 @@ pub(crate) fn dist_factorize_with_tree<K: Kernel>(
     }
     // INVARIANT: the rank-0 closure always assembles the factorization when
     // no rank returned an error above
-    let (f, x) = fact.expect("rank 0 must produce the factorization");
+    let fact = fact.expect("rank 0 must produce the factorization");
     Ok(DistBuild {
-        fact: f,
+        fact,
         stats,
-        x: x.map(|v| v.0),
         per_rank_bytes,
         traces,
     })
@@ -292,16 +247,15 @@ pub(crate) fn dist_factorize_with_tree<K: Kernel>(
 /// What every rank returns from the world: its algorithmic counters, its
 /// resident record bytes (what the rank held before the gather), its span
 /// report (when [`FactorOpts::trace`] is on), and, on rank 0 only, the
-/// gathered factorization (plus the solution when a right-hand side was
-/// supplied). On the TCP backend this type crosses the process boundary
-/// as a result frame, hence the [`Wire`] bound met via `crate::wire`
-/// ([`ScalarVec`] wraps the solution vector).
+/// gathered factorization. On the TCP backend this type crosses the
+/// process boundary as a result frame, hence the [`Wire`] bound met via
+/// `crate::wire`.
 type RankOutput<T> = Result<
     (
         srsf_runtime::stats::CommStats,
         u64,
         Option<srsf_trace::TraceReport>,
-        Option<(Factorization<T>, Option<ScalarVec<T>>)>,
+        Option<Factorization<T>>,
     ),
     FactorError,
 >;
@@ -502,50 +456,23 @@ fn run_rank<K: Kernel>(
     opts: &FactorOpts,
     leaf: u8,
     lmin: u8,
-    rhs: Option<&[K::Elem]>,
 ) -> RankOutput<K::Elem> {
     // Every rank stores the flag (on the TCP backend each rank is its own
     // process); storing `false` keeps untraced runs self-cleaning.
     srsf_trace::set_enabled(opts.trace);
-    let (mut state, top) = factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin)?;
-    let top_level = if leaf >= lmin { lmin } else { leaf };
+    let (state, top) = factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin)?;
     let bytes = resident_bytes(&state, &top);
-    // Snapshot the *algorithmic* communication counters here: everything
-    // after this point (solve traffic is reported separately; shipping the
-    // records to rank 0 is an API convenience, not part of Algorithm 2)
-    // must not pollute the §IV bound measurements.
+    // Snapshot the *algorithmic* communication counters here: shipping
+    // the records to rank 0 is an API convenience, not part of
+    // Algorithm 2, and must not pollute the §IV bound measurements.
     let algo_stats = ctx.stats();
-
-    // Optional distributed solve.
-    let t_solve = std::time::Instant::now();
-    let x = rhs.map(|b| {
-        dist_solve(
-            ctx,
-            grid,
-            tree,
-            pts,
-            &state,
-            top.as_ref(),
-            top_level,
-            leaf,
-            lmin,
-            b,
-        )
-    });
-    if rhs.is_some() {
-        state.stats.solve_s = t_solve.elapsed().as_secs_f64();
-    }
-    let x = match x {
-        Some(Some(v)) => Some(v),
-        _ => None,
-    };
 
     // Gather records on rank 0 and assemble the factorization object.
     let f = gather_factorization(ctx, grid, top, state, pts.len())?;
     // Drain this rank's span buffers last so the report covers the whole
     // build (the record gather included).
     let trace = opts.trace.then(|| srsf_trace::take_report(ctx.rank()));
-    Ok((algo_stats, bytes, trace, f.map(|f| (f, x.map(ScalarVec)))))
+    Ok((algo_stats, bytes, trace, f))
 }
 
 /// Eliminate `boxes` (phase `phase` of `level`) in four box-color
@@ -737,8 +664,8 @@ fn level_transition<K: Kernel>(
                 put_box(&mut w, b);
                 put_ids(&mut w, ids);
             }
-            // Also ship the ids this rank still owns (for the solve's fold
-            // value exchange).
+            // Also ship the ids this rank still owns (for the resident
+            // solve's fold value exchange).
             let owned_ids: Vec<u32> = state
                 .act_end
                 .get(&child_level)
@@ -992,345 +919,4 @@ fn gather_factorization<T: Scalar>(
     Ok(Some(Factorization::from_parts(
         n, records, top_idx, top_lu, stats,
     )))
-}
-
-/// The distributed solve: upward pass with neighbor delta exchange, top
-/// solve on rank 0, downward pass with request/reply value refresh.
-#[allow(clippy::too_many_arguments)]
-fn dist_solve<T: Scalar>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    tree: &QuadTree,
-    pts: &[Point],
-    state: &RankState<T>,
-    top: Option<&(Vec<u32>, Lu<T>)>,
-    top_level: u8,
-    leaf: u8,
-    lmin: u8,
-    b: &[T],
-) -> Option<Vec<T>> {
-    let me = ctx.rank();
-    let mut x = b.to_vec();
-    let levels: Vec<u8> = (lmin..=leaf).rev().collect();
-
-    // ---- Upward pass -----------------------------------------------------
-    for &level in &levels {
-        let _sp = srsf_trace::span!(srsf_trace::Cat::Solve, "solve upward level {level}");
-        if grid.is_active(me, level) {
-            let neighbors = grid.neighbor_ranks(me, level);
-            for phase in 0..=4u8 {
-                // Apply my records of this phase; collect deltas on entries
-                // owned by other ranks.
-                let mut remote: HashMap<usize, Vec<(u32, T)>> = HashMap::new();
-                for (i, (_, rec)) in state.records.iter().enumerate() {
-                    if state.record_phase[i] != (level, phase) {
-                        continue;
-                    }
-                    let before: Vec<T> = gather(&x, &rec.nbr);
-                    apply_upward(rec, &mut x);
-                    for (j, &id) in rec.nbr.iter().enumerate() {
-                        let owner = owner_of_point(grid, tree, pts, id, level);
-                        if owner != me {
-                            let delta = x[id as usize] - before[j];
-                            if delta != T::ZERO {
-                                remote.entry(owner).or_default().push((id, delta));
-                            }
-                        }
-                    }
-                }
-                for &dst in &neighbors {
-                    let items = remote.remove(&dst).unwrap_or_default();
-                    let mut w = ByteWriter::new();
-                    w.put_u64(items.len() as u64);
-                    for (id, v) in &items {
-                        w.put_u64(*id as u64);
-                        w.put_scalar(*v);
-                    }
-                    ctx.send(dst, tag(level, phase, KIND_SOLVE_UP), w.finish());
-                }
-                debug_assert!(remote.is_empty(), "delta for a non-adjacent rank");
-                for &src in &neighbors {
-                    let payload = ctx.recv(src, tag(level, phase, KIND_SOLVE_UP));
-                    let mut r = ByteReader::new(payload);
-                    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                    // and the transport delivers whole messages, so decode cannot truncate
-                    let n_items = r.get_u64();
-                    for _ in 0..n_items {
-                        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                        // and the transport delivers whole messages, so decode cannot truncate
-                        let id = r.get_u64() as usize;
-                        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                        // and the transport delivers whole messages, so decode cannot truncate
-                        let v: T = r.get_scalar();
-                        x[id] += v;
-                    }
-                }
-            }
-        }
-        ctx.barrier();
-        // Fold value shipment when the next level retires this rank.
-        if level > lmin {
-            solve_fold_up(ctx, grid, state, level, &mut x);
-        }
-    }
-
-    // ---- Top solve on rank 0 ---------------------------------------------
-    let top_sp = srsf_trace::span!(srsf_trace::Cat::Solve, "solve top level {top_level}");
-    let active_top = grid.active_ranks(top_level);
-    if me == 0 {
-        for &src in active_top.iter().filter(|&&r| r != 0) {
-            let payload = ctx.recv(src, tag(top_level, 6, KIND_SOLVE_VAL));
-            let mut r = ByteReader::new(payload);
-            let ids = get_ids(&mut r);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let vals: Vec<T> = r.get_scalar_slice();
-            for (id, v) in ids.iter().zip(vals.iter()) {
-                x[*id as usize] = *v;
-            }
-        }
-        // INVARIANT: rank 0 runs the top-level merge, so its record always exists
-        let (top_idx, top_lu) = top.expect("rank 0 has the top");
-        let mut vals = gather(&x, top_idx);
-        top_lu.solve_vec(&mut vals);
-        scatter(&mut x, top_idx, &vals);
-        // Send each active rank back the entries it owns.
-        for &dst in active_top.iter().filter(|&&r| r != 0) {
-            let items: Vec<(u32, T)> = top_idx
-                .iter()
-                .filter(|&&id| owner_of_point(grid, tree, pts, id, top_level) == dst)
-                .map(|&id| (id, x[id as usize]))
-                .collect();
-            let mut w = ByteWriter::new();
-            put_ids(&mut w, &items.iter().map(|(i, _)| *i).collect::<Vec<_>>());
-            w.put_scalar_slice(&items.iter().map(|(_, v)| *v).collect::<Vec<_>>());
-            ctx.send(dst, tag(top_level, 7, KIND_SOLVE_VAL), w.finish());
-        }
-    } else if active_top.contains(&me) {
-        let owned_ids: Vec<u32> = state
-            .act_end
-            .get(&top_level)
-            .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
-            .unwrap_or_default();
-        let vals: Vec<T> = gather(&x, &owned_ids);
-        let mut w = ByteWriter::new();
-        put_ids(&mut w, &owned_ids);
-        w.put_scalar_slice(&vals);
-        ctx.send(0, tag(top_level, 6, KIND_SOLVE_VAL), w.finish());
-        let payload = ctx.recv(0, tag(top_level, 7, KIND_SOLVE_VAL));
-        let mut r = ByteReader::new(payload);
-        let ids = get_ids(&mut r);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let vals: Vec<T> = r.get_scalar_slice();
-        for (id, v) in ids.iter().zip(vals.iter()) {
-            x[*id as usize] = *v;
-        }
-    }
-    ctx.barrier();
-    drop(top_sp);
-
-    // ---- Downward pass ----------------------------------------------------
-    for &level in levels.iter().rev() {
-        let _sp = srsf_trace::span!(srsf_trace::Cat::Solve, "solve downward level {level}");
-        // Un-fold: corners return the still-active values to members.
-        if level > lmin {
-            solve_fold_down(ctx, grid, state, level, &mut x);
-        }
-        if grid.is_active(me, level) {
-            let neighbors = grid.neighbor_ranks(me, level);
-            for phase in (0..=4u8).rev() {
-                // Refresh remote values my phase records read.
-                let mut needed: HashMap<usize, Vec<u32>> = HashMap::new();
-                for (i, (_, rec)) in state.records.iter().enumerate() {
-                    if state.record_phase[i] != (level, phase) {
-                        continue;
-                    }
-                    for &id in &rec.nbr {
-                        let owner = owner_of_point(grid, tree, pts, id, level);
-                        if owner != me {
-                            needed.entry(owner).or_default().push(id);
-                        }
-                    }
-                }
-                for &dst in &neighbors {
-                    let mut ids = needed.remove(&dst).unwrap_or_default();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    let mut w = ByteWriter::new();
-                    put_ids(&mut w, &ids);
-                    ctx.send(dst, tag(level, phase, KIND_SOLVE_REQ), w.finish());
-                }
-                for &src in &neighbors {
-                    let payload = ctx.recv(src, tag(level, phase, KIND_SOLVE_REQ));
-                    let mut r = ByteReader::new(payload);
-                    let ids = get_ids(&mut r);
-                    let vals: Vec<T> = gather(&x, &ids);
-                    let mut w = ByteWriter::new();
-                    put_ids(&mut w, &ids);
-                    w.put_scalar_slice(&vals);
-                    ctx.send(src, tag(level, phase, KIND_SOLVE_VAL), w.finish());
-                }
-                for &src in &neighbors {
-                    let payload = ctx.recv(src, tag(level, phase, KIND_SOLVE_VAL));
-                    let mut r = ByteReader::new(payload);
-                    let ids = get_ids(&mut r);
-                    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                    // and the transport delivers whole messages, so decode cannot truncate
-                    let vals: Vec<T> = r.get_scalar_slice();
-                    for (id, v) in ids.iter().zip(vals.iter()) {
-                        x[*id as usize] = *v;
-                    }
-                }
-                // Apply my records of this phase in reverse order.
-                for i in (0..state.records.len()).rev() {
-                    if state.record_phase[i] != (level, phase) {
-                        continue;
-                    }
-                    apply_downward(&state.records[i].1, &mut x);
-                }
-            }
-        }
-        ctx.barrier();
-    }
-
-    // ---- Final gather on rank 0 -------------------------------------------
-    if me == 0 {
-        for src in 1..grid.p() {
-            let payload = ctx.recv(src, tag(1, 7, KIND_SOLVE_VAL));
-            let mut r = ByteReader::new(payload);
-            let ids = get_ids(&mut r);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let vals: Vec<T> = r.get_scalar_slice();
-            for (id, v) in ids.iter().zip(vals.iter()) {
-                x[*id as usize] = *v;
-            }
-        }
-        Some(x)
-    } else {
-        // Send every entry of a leaf box I own.
-        let mut ids: Vec<u32> = Vec::new();
-        for b in tree.boxes_at_level(leaf) {
-            if grid.owner(&b) == me {
-                ids.extend_from_slice(tree.leaf_points(&b));
-            }
-        }
-        let vals: Vec<T> = gather(&x, &ids);
-        let mut w = ByteWriter::new();
-        put_ids(&mut w, &ids);
-        w.put_scalar_slice(&vals);
-        ctx.send(0, tag(1, 7, KIND_SOLVE_VAL), w.finish());
-        None
-    }
-}
-
-/// Upward fold in the solve: retiring ranks ship their surviving entries'
-/// values to the corner.
-fn solve_fold_up<T: Scalar>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    state: &RankState<T>,
-    child_level: u8,
-    x: &mut [T],
-) {
-    let me = ctx.rank();
-    let parent_level = child_level - 1;
-    if grid.effective_q(parent_level) >= grid.effective_q(child_level) {
-        return;
-    }
-    if !grid.is_active(me, child_level) {
-        return;
-    }
-    let (x0, y0, _, _) = region_of(grid, me, child_level);
-    let corner = grid.owner(&BoxId {
-        level: parent_level,
-        ix: (x0 / 2) as u32,
-        iy: (y0 / 2) as u32,
-    });
-    if corner != me {
-        let ids: Vec<u32> = state
-            .act_end
-            .get(&child_level)
-            .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
-            .unwrap_or_default();
-        let vals: Vec<T> = gather(x, &ids);
-        let mut w = ByteWriter::new();
-        put_ids(&mut w, &ids);
-        w.put_scalar_slice(&vals);
-        ctx.send(corner, tag(child_level, 5, KIND_SOLVE_VAL), w.finish());
-    } else {
-        let stride = grid.q() / grid.effective_q(child_level);
-        let (cx, cy) = grid.coords_of(me);
-        for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
-            let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-            let payload = ctx.recv(member, tag(child_level, 5, KIND_SOLVE_VAL));
-            let mut r = ByteReader::new(payload);
-            let ids = get_ids(&mut r);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let vals: Vec<T> = r.get_scalar_slice();
-            for (id, v) in ids.iter().zip(vals.iter()) {
-                x[*id as usize] = *v;
-            }
-        }
-    }
-}
-
-/// Downward un-fold: corners return the surviving entries' values to the
-/// members they absorbed.
-fn solve_fold_down<T: Scalar>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    state: &RankState<T>,
-    child_level: u8,
-    x: &mut [T],
-) {
-    let me = ctx.rank();
-    let parent_level = child_level - 1;
-    if grid.effective_q(parent_level) >= grid.effective_q(child_level) {
-        return;
-    }
-    if !grid.is_active(me, child_level) {
-        return;
-    }
-    let (x0, y0, _, _) = region_of(grid, me, child_level);
-    let corner = grid.owner(&BoxId {
-        level: parent_level,
-        ix: (x0 / 2) as u32,
-        iy: (y0 / 2) as u32,
-    });
-    if corner != me {
-        let ids: Vec<u32> = state
-            .act_end
-            .get(&child_level)
-            .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
-            .unwrap_or_default();
-        let payload = ctx.recv(corner, tag(child_level, 6, KIND_SOLVE_VAL));
-        let mut r = ByteReader::new(payload);
-        let got_ids = get_ids(&mut r);
-        debug_assert_eq!(got_ids, ids);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let vals: Vec<T> = r.get_scalar_slice();
-        for (id, v) in got_ids.iter().zip(vals.iter()) {
-            x[*id as usize] = *v;
-        }
-    } else {
-        let stride = grid.q() / grid.effective_q(child_level);
-        let (cx, cy) = grid.coords_of(me);
-        for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
-            let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-            let ids = state
-                .fold_ids
-                .get(&(child_level, member))
-                .cloned()
-                .unwrap_or_default();
-            let vals: Vec<T> = gather(x, &ids);
-            let mut w = ByteWriter::new();
-            put_ids(&mut w, &ids);
-            w.put_scalar_slice(&vals);
-            ctx.send(member, tag(child_level, 6, KIND_SOLVE_VAL), w.finish());
-        }
-    }
 }

@@ -37,8 +37,6 @@
 mod factorize;
 mod serve;
 
-#[allow(deprecated)]
-pub use factorize::{dist_factorize, dist_factorize_and_solve};
 pub(crate) use factorize::{dist_factorize_with_tree, TopFactor};
 pub use serve::ResidentService;
 pub(crate) use serve::{dist_factorize_resident, restore_resident_service};

@@ -15,6 +15,11 @@ use srsf_geometry::tree::BoxId;
 pub enum SrsfError {
     /// The point set is empty — there is nothing to factor.
     EmptyPointSet,
+    /// A point has a NaN or infinite coordinate.
+    NonFinitePoint {
+        /// Index of the first such point.
+        index: usize,
+    },
     /// The interpolative-decomposition tolerance must be positive and
     /// finite.
     InvalidTolerance {
@@ -61,6 +66,12 @@ pub enum SrsfError {
         /// Length of the supplied right-hand side.
         got: usize,
     },
+    /// The right-hand side has a NaN or infinite entry.
+    NonFiniteRhs {
+        /// Index of the first such entry (column-major for a block
+        /// right-hand side: `col * n + row`).
+        index: usize,
+    },
     /// A sparsified diagonal block was singular — the compression
     /// tolerance is too loose for this kernel/geometry.
     SingularDiagonal {
@@ -106,6 +117,9 @@ impl core::fmt::Display for SrsfError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SrsfError::EmptyPointSet => write!(f, "the point set is empty"),
+            SrsfError::NonFinitePoint { index } => {
+                write!(f, "point {index} has a non-finite coordinate")
+            }
             SrsfError::InvalidTolerance { tol } => {
                 write!(f, "tolerance must be positive and finite, got {tol}")
             }
@@ -136,6 +150,9 @@ impl core::fmt::Display for SrsfError {
             ),
             SrsfError::RhsLength { expected, got } => {
                 write!(f, "right-hand side has length {got}, expected {expected}")
+            }
+            SrsfError::NonFiniteRhs { index } => {
+                write!(f, "right-hand side entry {index} is not finite")
             }
             SrsfError::SingularDiagonal { box_id } => {
                 write!(f, "singular sparsified diagonal block at {box_id:?}")

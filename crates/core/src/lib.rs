@@ -6,18 +6,23 @@
 //! of the paper): for each box, the interaction with its far field is
 //! compressed with a proxy-accelerated interpolative decomposition, the
 //! redundant degrees of freedom are eliminated, and the Schur-complement
-//! fill-in lands only on neighboring boxes. Three drivers share the same
-//! per-box elimination kernel:
+//! fill-in lands only on neighboring boxes. Three drivers, selected with
+//! [`Driver`] on the [`Solver`] builder, share the same per-box
+//! elimination kernel:
 //!
 //! * [`sequential`] — Algorithm 1: a level-by-level, box-by-box sweep.
 //! * [`colored`] — the shared-memory reference of Section V-C (the paper's
 //!   C++/OpenMP comparison): all boxes of a level are graph-colored and
 //!   same-color boxes are processed concurrently, with snapshot reads and
-//!   additive merge of Schur updates (provably order-equivalent).
+//!   additive merge of Schur updates (provably order-equivalent). It runs
+//!   the sequential driver's level loop with a color-round schedule.
 //! * [`distributed`] — Algorithm 2, the contribution: leaf boxes are block
 //!   partitioned over a process grid; *interior* boxes factor with zero
 //!   communication, *boundary* boxes in four process-color rounds with
 //!   neighbor-only update messages; ranks fold by 4 as the tree coarsens.
+//!   The records are either gathered onto rank 0, which then solves
+//!   locally, or stay resident on their ranks, where every solve runs
+//!   Algorithm 2's distributed upward/downward sweep.
 //!
 //! Supporting modules: [`store`] (modified-interaction block store with
 //! kernel-on-miss), [`skeletonize`] (proxy ID), [`elimination`] (the strong
@@ -41,8 +46,6 @@ pub mod store;
 pub mod wire;
 
 pub use error::SrsfError;
-#[allow(deprecated)]
-pub use sequential::factorize;
 pub use sequential::Factorization;
 pub use skeletonize::CompressionCtx;
 pub use solver::{Driver, Factorized, Solver, SolverBuilder};

@@ -1,12 +1,17 @@
-//! Algorithm 1: the sequential multi-level factorization.
+//! Algorithm 1: the multi-level factorization loop.
 //!
 //! A bottom-up sweep over the quad-tree: every box at every level is
 //! skeletonized and its redundant DOFs eliminated, levels are merged, and
 //! the few DOFs surviving above `min_compress_level` are finished with a
 //! dense pivoted LU. The result approximates `A^{-1}` as the composition
 //! Eq. (12) of per-box operators plus the top solve.
+//!
+//! The same loop serves the sequential and the box-colored drivers; they
+//! differ only in their `Schedule`: the order in which a level's boxes
+//! are eliminated and how many threads work on them.
 
-use crate::elimination::{apply_output, eliminate_box, BoxElimination, FactorError};
+use crate::colored::{eliminate_color_round, ColorScheme};
+use crate::elimination::{apply_output, BoxElimination, FactorError};
 use crate::levels::merge_to_parent;
 use crate::skeletonize::CompressionCtx;
 use crate::solve;
@@ -151,44 +156,105 @@ pub fn domain_for(pts: &[Point]) -> BBox {
     }
 }
 
-/// Factor the kernel matrix over `pts` (Algorithm 1).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builder(kernel, pts).build()` instead"
-)]
-pub fn factorize<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    opts: &FactorOpts,
-) -> Result<Factorization<K::Elem>, FactorError> {
-    let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-    factorize_with_tree(kernel, pts, &tree, opts)
+/// The order and parallelism of one factorization: per level, an
+/// ordered list of box rounds, the worker threads that eliminate a
+/// round's boxes, and the GEMM thread budget of the dense kernels.
+///
+/// Every round snapshot-computes its boxes (concurrently when
+/// `box_threads > 1`) and then merges them in round order, so a schedule
+/// fixes the elimination order — and with it the bits of the result —
+/// independently of the thread counts.
+pub(crate) struct Schedule {
+    /// Box coloring: groups a level's boxes into rounds (colored driver)
+    /// and stamps every record's `color` for the threaded solve apply.
+    scheme: ColorScheme,
+    /// One round per box in row-major order (Algorithm 1) instead of one
+    /// round per color class.
+    singleton_rounds: bool,
+    box_threads: usize,
+    gemm_threads: usize,
 }
 
-/// Factor against a caller-provided tree (shared by drivers and tests).
-///
-/// The sequential driver is the only one that hands the dense kernels a
-/// thread budget (`FactorOpts::gemm_threads`): it owns the whole machine,
-/// whereas the colored/distributed drivers already parallelize across
-/// boxes and ranks. The budget is thread-local and restored on exit, so
-/// it never leaks into callers or sibling drivers.
+impl Schedule {
+    /// Algorithm 1: singleton rounds in row-major order on one box
+    /// thread. The sequential driver is the only one that hands the
+    /// dense kernels a thread budget: it owns the whole machine, whereas
+    /// the colored and distributed drivers parallelize across boxes and
+    /// ranks.
+    pub(crate) fn sequential(gemm_threads: usize) -> Self {
+        Self {
+            scheme: ColorScheme::Four,
+            singleton_rounds: true,
+            box_threads: 1,
+            gemm_threads,
+        }
+    }
+
+    /// Section V-C: one round per color class of `scheme` on
+    /// `box_threads` workers, serial GEMM.
+    pub(crate) fn colored(scheme: ColorScheme, box_threads: usize) -> Self {
+        assert!(box_threads >= 1);
+        Self {
+            scheme,
+            singleton_rounds: false,
+            box_threads,
+            gemm_threads: 1,
+        }
+    }
+
+    fn rounds(&self, tree: &QuadTree, level: u8) -> Vec<Vec<BoxId>> {
+        if self.singleton_rounds {
+            return tree.boxes_at_level(level).map(|b| vec![b]).collect();
+        }
+        (0..self.scheme.count())
+            .map(|color| {
+                tree.boxes_at_level(level)
+                    .filter(|b| self.scheme.color(b) == color)
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Factor against a caller-provided tree with the sequential schedule
+/// (Algorithm 1), GEMM-threaded by `FactorOpts::gemm_threads`.
 pub fn factorize_with_tree<K: Kernel>(
     kernel: &K,
     pts: &[Point],
     tree: &QuadTree,
     opts: &FactorOpts,
 ) -> Result<Factorization<K::Elem>, FactorError> {
-    let prev = srsf_linalg::set_gemm_threads(opts.gemm_threads);
-    let result = factorize_with_tree_inner(kernel, pts, tree, opts);
-    srsf_linalg::set_gemm_threads(prev);
-    result
+    factorize_scheduled(
+        kernel,
+        pts,
+        tree,
+        opts,
+        &Schedule::sequential(opts.gemm_threads),
+    )
 }
 
-fn factorize_with_tree_inner<K: Kernel>(
+/// The level loop shared by the sequential and colored drivers. The GEMM
+/// budget is thread-local and restored on exit, so it never leaks into
+/// callers or sibling drivers.
+pub(crate) fn factorize_scheduled<K: Kernel>(
     kernel: &K,
     pts: &[Point],
     tree: &QuadTree,
     opts: &FactorOpts,
+    schedule: &Schedule,
+) -> Result<Factorization<K::Elem>, FactorError> {
+    let prev = srsf_linalg::set_gemm_threads(schedule.gemm_threads);
+    let result = factorize_levels(kernel, pts, tree, opts, schedule);
+    srsf_linalg::set_gemm_threads(prev);
+    result
+}
+
+fn factorize_levels<K: Kernel>(
+    kernel: &K,
+    pts: &[Point],
+    tree: &QuadTree,
+    opts: &FactorOpts,
+    schedule: &Schedule,
 ) -> Result<Factorization<K::Elem>, FactorError> {
     let t_total = Instant::now();
     let n = pts.len();
@@ -207,15 +273,29 @@ fn factorize_with_tree_inner<K: Kernel>(
         let mut level = leaf;
         loop {
             let t0 = Instant::now();
-            for b in tree.boxes_at_level(level) {
-                let out = eliminate_box(&store, &act, tree, &b, opts, &ctx)?;
-                if let Some(rec) = &out.record {
-                    stats.add_rank(level, rec.skel.len());
-                }
-                stats.compression.absorb(&out.compression);
-                apply_output(&mut store, &mut act, &b, &out, &ctx);
-                if let Some(rec) = out.record {
-                    records.push(rec);
+            for boxes in schedule.rounds(tree, level) {
+                let outputs = eliminate_color_round(
+                    &store,
+                    &act,
+                    tree,
+                    &boxes,
+                    opts,
+                    &ctx,
+                    schedule.box_threads,
+                )?;
+                // Deterministic merge in round order.
+                for (b, out) in boxes.iter().zip(outputs) {
+                    if let Some(rec) = &out.record {
+                        stats.add_rank(level, rec.skel.len());
+                    }
+                    stats.compression.absorb(&out.compression);
+                    apply_output(&mut store, &mut act, b, &out, &ctx);
+                    if let Some(mut rec) = out.record {
+                        // Stamp the schedule's color so the threaded
+                        // solve apply sees whole color rounds.
+                        rec.color = schedule.scheme.color(b);
+                        records.push(rec);
+                    }
                 }
             }
             stats.eliminate_s += t0.elapsed().as_secs_f64();

@@ -28,12 +28,13 @@
 //! `memory_bytes`) and `LinOp` — so it plugs into the Krylov methods of
 //! `srsf-iterative` as a preconditioner unchanged.
 
-use crate::colored::colored_factorize_with_tree;
 use crate::distributed::{
     dist_factorize_resident, dist_factorize_with_tree, restore_resident_service, ResidentService,
 };
 use crate::error::SrsfError;
-use crate::sequential::{domain_for, factorize_with_tree, Factorization};
+use crate::sequential::{
+    domain_for, factorize_scheduled, factorize_with_tree, Factorization, Schedule,
+};
 use crate::stats::FactorStats;
 use crate::FactorOpts;
 use srsf_geometry::point::Point;
@@ -233,7 +234,8 @@ impl<T: Scalar> Solver<T> {
 
     /// Fallible [`Solver::solve`]. A right-hand side of the wrong
     /// length is [`SrsfError::RhsLength`] (where the infallible
-    /// [`Solver::solve`] panics); beyond that, local backends cannot
+    /// [`Solver::solve`] panics), and one with a NaN or infinite entry is
+    /// [`SrsfError::NonFiniteRhs`]; beyond that, local backends cannot
     /// fail. In residency mode a rank that dies (or a link that goes
     /// down) mid-solve surfaces as [`SrsfError::RankFailed`] within the
     /// receive timeout — no hang, no abort — and later solves fail fast
@@ -241,26 +243,18 @@ impl<T: Scalar> Solver<T> {
     /// drops) cleanly, and [`Solver::restore_resident`] can rebuild a
     /// fresh world from checkpoints.
     pub fn try_solve(&self, b: &[T]) -> Result<Vec<T>, SrsfError> {
-        if b.len() != self.n() {
-            return Err(SrsfError::RhsLength {
-                expected: self.n(),
-                got: b.len(),
-            });
-        }
+        check_rhs(self.n(), b.len(), b)?;
         match &self.backend {
             SolverBackend::Local(f) => Ok(f.solve(b)),
             SolverBackend::Resident(s) => s.try_solve(b),
         }
     }
 
-    /// Fallible [`Solver::solve_mat`]; see [`Solver::try_solve`].
+    /// Fallible [`Solver::solve_mat`]; see [`Solver::try_solve`]. A
+    /// non-finite entry is reported by its column-major index
+    /// (`col * n + row`).
     pub fn try_solve_mat(&self, b: &Mat<T>) -> Result<Mat<T>, SrsfError> {
-        if b.nrows() != self.n() {
-            return Err(SrsfError::RhsLength {
-                expected: self.n(),
-                got: b.nrows(),
-            });
-        }
+        check_rhs(self.n(), b.nrows(), b.as_slice())?;
         match &self.backend {
             SolverBackend::Local(f) => Ok(f.solve_mat(b)),
             SolverBackend::Resident(s) => s.try_solve_mat(b),
@@ -558,6 +552,21 @@ pub type Solved<T> = (Solver<T>, Vec<T>);
 
 type MaybeSolved<T> = (Solver<T>, Option<Vec<T>>);
 
+/// The right-hand-side checks shared by every solve entry point: `rows`
+/// must be the problem size `n`, and every entry of `data` finite.
+fn check_rhs<T: Scalar>(n: usize, rows: usize, data: &[T]) -> Result<(), SrsfError> {
+    if rows != n {
+        return Err(SrsfError::RhsLength {
+            expected: n,
+            got: rows,
+        });
+    }
+    match data.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(SrsfError::NonFiniteRhs { index }),
+        None => Ok(()),
+    }
+}
+
 /// Configures and builds a [`Solver`]; created by [`Solver::builder`].
 #[derive(Clone, Debug)]
 pub struct SolverBuilder<'a, K: Kernel> {
@@ -726,17 +735,16 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
 
     /// Build and additionally solve one right-hand side.
     ///
-    /// For [`Driver::Distributed`] the solve runs *inside* the rank world
-    /// (Algorithm 2's upward/downward passes with neighbor-only traffic),
-    /// so its communication shows up in [`Solver::comm_stats`]; the other
-    /// drivers solve locally after factoring.
+    /// The solve is [`Solver::try_solve`] on the built solver: a local
+    /// sweep over the factorization for the sequential and colored
+    /// drivers and for gathered [`Driver::Distributed`] builds, Algorithm
+    /// 2's resident solve phase for [`SolverBuilder::resident`] ones.
+    /// [`Solver::comm_stats`] counts the factorization phase only; the
+    /// resident solve's traffic shows up in
+    /// [`Solver::resident_comm_probe`]. The right-hand side is checked
+    /// before anything is factored.
     pub fn build_with_solution(self, rhs: &[K::Elem]) -> Result<Solved<K::Elem>, SrsfError> {
-        if rhs.len() != self.pts.len() {
-            return Err(SrsfError::RhsLength {
-                expected: self.pts.len(),
-                got: rhs.len(),
-            });
-        }
+        check_rhs(self.pts.len(), rhs.len(), rhs)?;
         let (solver, x) = self.build_inner(Some(rhs))?;
         // INVARIANT: build_inner(Some(rhs)) always produces a solution
         Ok((solver, x.expect("solution requested")))
@@ -751,6 +759,12 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         } = self;
         if pts.is_empty() {
             return Err(SrsfError::EmptyPointSet);
+        }
+        if let Some(index) = pts
+            .iter()
+            .position(|p| !(p.x.is_finite() && p.y.is_finite()))
+        {
+            return Err(SrsfError::NonFinitePoint { index });
         }
         if !(opts.tol > 0.0 && opts.tol.is_finite()) {
             return Err(SrsfError::InvalidTolerance { tol: opts.tol });
@@ -787,31 +801,23 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
             });
         }
         let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-        let (backend, comm, x, per_rank_bytes, traces) = match driver {
+        let (backend, comm, per_rank_bytes, traces) = match driver {
             Driver::Sequential => {
                 let fact = factorize_with_tree(kernel, pts, &tree, &opts)?;
-                let x = rhs.map(|b| fact.solve(b));
-                (
-                    SolverBackend::Local(Box::new(fact)),
-                    None,
-                    x,
-                    None,
-                    Vec::new(),
-                )
+                (SolverBackend::Local(Box::new(fact)), None, None, Vec::new())
             }
             Driver::Colored { scheme, threads } => {
                 if threads == 0 {
                     return Err(SrsfError::InvalidThreadCount);
                 }
-                let fact = colored_factorize_with_tree(kernel, pts, &tree, &opts, scheme, threads)?;
-                let x = rhs.map(|b| fact.solve(b));
-                (
-                    SolverBackend::Local(Box::new(fact)),
-                    None,
-                    x,
-                    None,
-                    Vec::new(),
-                )
+                let fact = factorize_scheduled(
+                    kernel,
+                    pts,
+                    &tree,
+                    &opts,
+                    &Schedule::colored(scheme, threads),
+                )?;
+                (SolverBackend::Local(Box::new(fact)), None, None, Vec::new())
             }
             Driver::Distributed { grid } => {
                 if opts.rank_threads == 0 {
@@ -834,41 +840,34 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
                     })??;
                     let comm = svc.comm().clone();
                     let bytes = svc.bytes_per_rank().to_vec();
-                    let x = match rhs {
-                        Some(b) => Some(svc.try_solve(b)?),
-                        None => None,
-                    };
                     (
                         SolverBackend::Resident(Box::new(svc)),
                         Some(comm),
-                        x,
                         Some(bytes),
                         Vec::new(),
                     )
                 } else {
                     let b = catch_rank_failure(|| {
-                        dist_factorize_with_tree(kernel, pts, &tree, &grid, &opts, rhs)
+                        dist_factorize_with_tree(kernel, pts, &tree, &grid, &opts)
                     })??;
                     (
                         SolverBackend::Local(Box::new(b.fact)),
                         Some(b.stats),
-                        b.x,
                         Some(b.per_rank_bytes),
                         b.traces,
                     )
                 }
             }
         };
-        Ok((
-            Solver {
-                backend,
-                driver,
-                comm,
-                per_rank_bytes,
-                traces,
-            },
-            x,
-        ))
+        let solver = Solver {
+            backend,
+            driver,
+            comm,
+            per_rank_bytes,
+            traces,
+        };
+        let x = rhs.map(|b| solver.try_solve(b)).transpose()?;
+        Ok((solver, x))
     }
 }
 

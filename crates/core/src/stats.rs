@@ -49,8 +49,6 @@ pub struct FactorStats {
     pub top_s: f64,
     /// Total wall time of the factorization.
     pub total_s: f64,
-    /// Wall time of the (distributed) solve, when one was run.
-    pub solve_s: f64,
     /// Size of the final dense top block.
     pub top_size: usize,
     /// Approximate bytes held by the factorization records.

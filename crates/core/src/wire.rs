@@ -1,7 +1,7 @@
 //! [`Wire`] encodings for the factorization types that cross a process
 //! boundary on the TCP transport.
 //!
-//! Worker ranks return `Result<(CommStats, Option<(Factorization, ...)>),
+//! Worker ranks return `Result<(CommStats, .., Option<Factorization>),
 //! FactorError>` from `World::run`; on the TCP backend that value is
 //! serialized back to rank 0 as a result frame, so everything in it needs
 //! a total, bounds-checked decode (a corrupted frame must surface as a
@@ -50,23 +50,6 @@ pub(crate) fn try_get_ids(r: &mut ByteReader) -> Result<Vec<u32>, CodecError> {
         .into_iter()
         .map(|v| v as u32)
         .collect())
-}
-
-/// Wire wrapper for a scalar vector (e.g. a distributed solution).
-///
-/// `Vec<T: Scalar>` cannot take the generic `Vec<T: Wire>` container
-/// encoding without overlapping impls (`f64` is both), so the rank
-/// results that carry a solution wrap it in this newtype, which encodes
-/// as a plain length-prefixed scalar slice.
-pub struct ScalarVec<T>(pub Vec<T>);
-
-impl<T: Scalar> Wire for ScalarVec<T> {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_scalar_slice(&self.0);
-    }
-    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
-        Ok(ScalarVec(r.try_get_scalar_slice()?))
-    }
 }
 
 impl Wire for FactorError {
@@ -151,7 +134,6 @@ impl Wire for FactorStats {
         w.put_f64(self.merge_s);
         w.put_f64(self.top_s);
         w.put_f64(self.total_s);
-        w.put_f64(self.solve_s);
         w.put_u64(self.top_size as u64);
         w.put_u64(self.record_bytes as u64);
         w.put_u64(self.peak_store_bytes as u64);
@@ -183,7 +165,6 @@ impl Wire for FactorStats {
         stats.merge_s = r.try_get_f64()?;
         stats.top_s = r.try_get_f64()?;
         stats.total_s = r.try_get_f64()?;
-        stats.solve_s = r.try_get_f64()?;
         stats.top_size = r.try_get_u64()? as usize;
         stats.record_bytes = r.try_get_u64()? as usize;
         stats.peak_store_bytes = r.try_get_u64()? as usize;
@@ -225,7 +206,7 @@ impl<T: Scalar> Wire for Factorization<T> {
 // checksum alone (`tests/wire_fuzz.rs` exercises this).
 //
 //   bytes  0..8   magic  b"SRSFCKP1"
-//   bytes  8..16  container version (little-endian u64, currently 1)
+//   bytes  8..16  container version (little-endian u64, CKPT_VERSION)
 //   bytes 16..24  scalar tag (size_of::<T>: 8 = f64, 16 = c64; 0 = manifest)
 //   bytes 24..32  payload length in bytes
 //   bytes 32..40  CRC-64/XZ of the payload
@@ -236,7 +217,8 @@ impl<T: Scalar> Wire for Factorization<T> {
 const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// Container version; bump on any layout change.
 /// v2: `FactorStats` carries the four compression-telemetry counters.
-const CKPT_VERSION: u64 = 2;
+/// v3: `FactorStats` no longer carries a solve time.
+const CKPT_VERSION: u64 = 3;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.

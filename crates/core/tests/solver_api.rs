@@ -166,6 +166,62 @@ fn mismatched_rhs_length_is_an_error() {
 }
 
 #[test]
+fn non_finite_point_is_an_error() {
+    let grid = UnitGrid::new(32);
+    let kernel = LaplaceKernel::new(&grid);
+    for driver in [Driver::Sequential, Driver::distributed(4)] {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut pts = grid.points();
+            pts[5].y = bad;
+            let err = Solver::builder(&kernel, &pts)
+                .leaf_size(16)
+                .driver(driver)
+                .resident(true)
+                .build()
+                .unwrap_err();
+            assert_eq!(err, SrsfError::NonFinitePoint { index: 5 });
+        }
+    }
+}
+
+#[test]
+fn non_finite_rhs_is_an_error_on_every_solve_entry_point() {
+    let grid = UnitGrid::new(32);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let n = pts.len();
+    let mut b = random_vector::<f64>(n, 3);
+    b[7] = f64::INFINITY;
+    let mut bm = srsf_linalg::Mat::from_fn(n, 3, |i, j| (i + j) as f64);
+    bm[(11, 1)] = f64::NAN;
+    for driver in [Driver::Sequential, Driver::distributed(4)] {
+        let builder = || {
+            Solver::builder(&kernel, &pts)
+                .leaf_size(16)
+                .driver(driver)
+                .resident(true)
+        };
+        assert_eq!(
+            builder().build_with_solution(&b).unwrap_err(),
+            SrsfError::NonFiniteRhs { index: 7 }
+        );
+        let s = builder().build().unwrap();
+        assert_eq!(
+            s.try_solve(&b).unwrap_err(),
+            SrsfError::NonFiniteRhs { index: 7 }
+        );
+        // Column-major index of the NaN in column 1.
+        assert_eq!(
+            s.try_solve_mat(&bm).unwrap_err(),
+            SrsfError::NonFiniteRhs { index: n + 11 }
+        );
+        // A rejected right-hand side leaves the solver serving.
+        let x = s.try_solve(&random_vector::<f64>(n, 4)).unwrap();
+        assert!(x.iter().all(|v| v.is_finite()), "{driver:?}");
+    }
+}
+
+#[test]
 fn errors_display_and_propagate() {
     let e = SrsfError::GridTooLarge {
         p: 64,

@@ -1,4 +1,4 @@
-//! Backend equivalence of the distributed driver: running `dist_factorize`
+//! Backend equivalence of the distributed driver: running it
 //! over real OS processes (TCP transport) must produce the *same bits* as
 //! the in-process backend — identical solutions, identical factorization
 //! records, and identical per-rank message/word counters — because the
@@ -81,9 +81,7 @@ fn assert_equivalent<K: Kernel>(kernel: &K, pts: &[srsf_geometry::point::Point],
         );
     }
     // The gathered records are semantically identical too: local applies
-    // of both factorizations agree bit for bit. (The in-world distributed
-    // solve above may differ from a *local* apply by summation order —
-    // that is solve-path variance, not transport variance.)
+    // of both factorizations agree bit for bit.
     let loc_tcp = f_tcp.solve(&b);
     let loc_in = f_in.solve(&b);
     for (a, b) in loc_tcp.iter().zip(loc_in.iter()) {

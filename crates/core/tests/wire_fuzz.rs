@@ -10,7 +10,6 @@
 
 use srsf_core::elimination::{BoxElimination, FactorError};
 use srsf_core::sequential::Factorization;
-use srsf_core::wire::ScalarVec;
 use srsf_core::FactorStats;
 use srsf_geometry::tree::BoxId;
 use srsf_linalg::{c64, Lu, Mat, Scalar};
@@ -158,7 +157,6 @@ fn gen_stats(rng: &mut Rng) -> FactorStats {
     s.merge_s = rng.finite_f64();
     s.top_s = rng.finite_f64();
     s.total_s = rng.finite_f64();
-    s.solve_s = rng.finite_f64();
     s.top_size = rng.below(1 << 16);
     s.record_bytes = rng.below(1 << 30);
     s.peak_store_bytes = rng.below(1 << 30);
@@ -242,14 +240,6 @@ fn gen_factorization_frame(rng: &mut Rng) -> Vec<u8> {
 // ---- totality ----------------------------------------------------------
 
 #[test]
-fn scalar_vec_decode_is_total() {
-    fuzz_type::<ScalarVec<f64>>("ScalarVec<f64>", 71, |r| {
-        let n = r.below(6);
-        ScalarVec((0..n).map(|_| r.finite_f64()).collect::<Vec<f64>>()).to_bytes()
-    });
-}
-
-#[test]
 fn factor_error_decode_is_total() {
     fuzz_type::<FactorError>("FactorError", 72, |r| gen_error(r).to_bytes());
 }
@@ -279,9 +269,9 @@ fn factorization_decode_is_total() {
 /// total too when nested in the generic containers.
 #[test]
 fn nested_result_frames_are_total() {
-    fuzz_type::<Result<ScalarVec<f64>, FactorError>>("Result<ScalarVec,FactorError>", 77, |r| {
-        let v: Result<ScalarVec<f64>, FactorError> = if r.next() & 1 == 0 {
-            Ok(ScalarVec((0..r.below(5)).map(|_| r.finite_f64()).collect()))
+    fuzz_type::<Result<FactorStats, FactorError>>("Result<FactorStats,FactorError>", 77, |r| {
+        let v: Result<FactorStats, FactorError> = if r.next() & 1 == 0 {
+            Ok(gen_stats(r))
         } else {
             Err(gen_error(r))
         };
@@ -375,16 +365,6 @@ fn trace_report_round_trip_bytes() {
         );
         let h = gen_histogram(&mut rng);
         assert_eq!(h, Histogram::from_bytes(h.to_bytes()).expect("decode"));
-    }
-}
-
-#[test]
-fn scalar_vec_round_trip() {
-    let mut rng = Rng::new(86);
-    for _ in 0..iters(256, 8) {
-        let v: Vec<f64> = (0..rng.below(9)).map(|_| rng.finite_f64()).collect();
-        let back = ScalarVec::<f64>::from_bytes(ScalarVec(v.clone()).to_bytes()).expect("decode");
-        assert_eq!(back.0, v);
     }
 }
 

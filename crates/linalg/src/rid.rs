@@ -161,7 +161,9 @@ pub fn id_from_sketch<T: Scalar>(
         let mut err = vr;
         err.axpy(-T::ONE, &matmul(&vs, &id.t));
         let slack = 100.0 * (n.max(1) as f64).sqrt();
-        if fro_norm(&err) > slack * tol * fro_norm(&yv).max(1e-300) {
+        // Phrased as `<=` so that a NaN error rejects the sketch.
+        let certified = fro_norm(&err) <= slack * tol * fro_norm(&yv).max(1e-300);
+        if !certified {
             return None;
         }
     }
@@ -354,6 +356,25 @@ mod tests {
         assert!(tel.retries >= 1, "expected at least one doubling");
         assert!(!tel.fell_back);
         check_id(&a, &id, 1e-6, 1e3);
+    }
+
+    #[test]
+    fn nan_in_holdout_rows_rejects_the_sketch() {
+        let a = low_rank_f64(400, 40, 6, 23);
+        let l = 16;
+        let omega = sketch_block::<f64>(23, l + RID_VERIFY_ROWS, 0, a.nrows());
+        let mut y = matmul(&omega, &a);
+        let id = id_from_sketch(&y, l, 1e-6, usize::MAX).expect("clean sketch certifies");
+        y[(l + 2, id.redundant[0])] = f64::NAN;
+        assert!(id_from_sketch(&y, l, 1e-6, usize::MAX).is_none());
+    }
+
+    #[test]
+    fn rid_nan_input_falls_back_to_cpqr() {
+        let mut a = low_rank_f64(400, 40, 6, 23);
+        a[(100, 7)] = f64::NAN;
+        let (_, tel) = rand_interp_decomp(&a, 1e-6, usize::MAX, 6, 10, 23);
+        assert!(tel.fell_back, "a NaN sketch must not be accepted: {tel:?}");
     }
 
     #[test]

@@ -373,7 +373,7 @@ fn main() {
         }
     );
     println!(
-        "distributed solve relres = {:.3e}",
+        "gathered-factorization solve relres = {:.3e}",
         relative_residual(&fast, &x, &b)
     );
 

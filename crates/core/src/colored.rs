@@ -5,7 +5,7 @@
 //! colors, and boxes of one color are processed concurrently. Two schemes
 //! are provided:
 //!
-//! * [`BoxColoring::Four`] — the paper's scheme. Same-color boxes can sit
+//! * [`ColorScheme::Four`] — the paper's scheme. Same-color boxes can sit
 //!   at box distance 2 and then share Schur-update *targets* (pairs between
 //!   their common neighbors). The driver therefore runs each color as a
 //!   snapshot-read compute phase followed by a deterministic sequential
@@ -15,7 +15,7 @@
 //!   (up to floating-point commutation of the additions, which the merge
 //!   keeps in fixed box order — so results are bit-deterministic for any
 //!   thread count).
-//! * [`BoxColoring::Nine`] — distance-3 coloring: all writes disjoint,
+//! * [`ColorScheme::Nine`] — distance-3 coloring: all writes disjoint,
 //!   lock-free by construction; used as an ablation.
 //!
 //! The level loop itself is the sequential driver's

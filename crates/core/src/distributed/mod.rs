@@ -3,7 +3,7 @@
 //!
 //! Leaf boxes are block-partitioned over a `q x q` process grid (Figure
 //! 4) and factored level by level with interior/boundary phases and four
-//! process-color rounds — see [`factorize`] for the phase structure and
+//! process-color rounds — see `factorize` for the phase structure and
 //! the communication pattern. What happens *after* the factorization is
 //! the mode split:
 //!
@@ -13,7 +13,7 @@
 //!   solve locally. Simple, but rank 0 holds O(N) records: the gather is
 //!   an API artifact outside Algorithm 2's analysis, and it forfeits the
 //!   paper's O(N/p) per-rank memory bound the moment the build returns.
-//! * **Resident** ([`serve`]) — the rank world *stays alive*: records
+//! * **Resident** (`serve`) — the rank world *stays alive*: records
 //!   remain on the ranks that produced them, rank 0 holds only the dense
 //!   top factorization plus routing metadata, and repeated
 //!   `solve`/`solve_mat` calls run Algorithm 2's upward/downward passes

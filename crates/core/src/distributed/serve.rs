@@ -7,7 +7,7 @@
 //! (ownership maps, fold ids, per-level active sets), and ranks `1..p`
 //! park in a request/response command loop
 //! ([`serve_rank`]) driven by rank 0 through a live
-//! [`WorldHandle`]. Every [`ResidentService::solve_mat`] then runs
+//! [`WorldHandle`]. Every [`ResidentService::try_solve_mat`] then runs
 //! Algorithm 2's solve phase — upward pass with neighbor delta exchange,
 //! dense top solve on rank 0, downward pass with request/reply value
 //! refresh — as one SPMD function executed by all ranks over the existing
@@ -299,10 +299,9 @@ type DeltaBatch<'a, T> = Vec<(&'a [u32], Mat<T>)>;
 /// at O(N/p) per rank — the paper's bound, and what this mode exists
 /// for — but the per-solve working block is allocated full-height for
 /// global row addressing, O(N·nrhs) scratch per rank per solve (freed at
-/// solve end; same shape the legacy in-world solve and the gathered
-/// rank-0 sweep use). Shrinking it to owned+halo height needs a rank-
-/// local row remap of every record index — a follow-up, not a
-/// correctness issue.
+/// solve end; the same shape the gathered rank-0 sweep uses). Shrinking
+/// it to owned+halo height needs a rank-local row remap of every record
+/// index — a follow-up, not a correctness issue.
 ///
 /// `rank0_owned` is rank 0's cached per-rank slab row map (None on
 /// workers).
@@ -804,17 +803,7 @@ impl<T: Scalar> ResidentService<T> {
     /// solution rows. Bit-identical to the gathered factorization's
     /// [`crate::Factorization::solve_mat`].
     ///
-    /// Panics if a rank fails mid-solve; use
-    /// [`ResidentService::try_solve_mat`] to observe that as a typed
-    /// [`SrsfError::RankFailed`] instead.
-    pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        // INVARIANT: deliberate — the panicking convenience wrapper over
-        // try_solve_mat, for callers with no degradation path
-        self.try_solve_mat(b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`ResidentService::solve_mat`]: a rank that dies (or a
-    /// link that goes down) mid-solve surfaces as
+    /// A rank that dies (or a link that goes down) mid-solve surfaces as
     /// [`SrsfError::RankFailed`] within the receive timeout — no hang,
     /// no abort — and the service is poisoned: the world is
     /// desynchronized, so every later solve returns the same error
@@ -865,16 +854,7 @@ impl<T: Scalar> ResidentService<T> {
     }
 
     /// Solve `A x = b` (single right-hand side) on the resident world:
-    /// the one-column case of [`ResidentService::solve_mat`]. Panics on
-    /// rank failure; see [`ResidentService::try_solve`].
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        // INVARIANT: deliberate — the panicking convenience wrapper over
-        // try_solve, for callers with no degradation path
-        self.try_solve(b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`ResidentService::solve`]: the one-column case of
-    /// [`ResidentService::try_solve_mat`].
+    /// the one-column case of [`ResidentService::try_solve_mat`].
     pub fn try_solve(&self, b: &[T]) -> Result<Vec<T>, SrsfError> {
         let m = Mat::from_vec(b.len(), 1, b.to_vec());
         Ok(self.try_solve_mat(&m)?.as_slice().to_vec())

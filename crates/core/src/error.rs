@@ -20,6 +20,15 @@ pub enum SrsfError {
         /// Index of the first such point.
         index: usize,
     },
+    /// Two points share exact coordinates. Their kernel entry is a
+    /// singular self-interaction off the diagonal, so the factorization
+    /// would solve to non-finite values.
+    CoincidentPoints {
+        /// Index of the earlier point.
+        first: usize,
+        /// Index of the later point at the same coordinates.
+        second: usize,
+    },
     /// The interpolative-decomposition tolerance must be positive and
     /// finite.
     InvalidTolerance {
@@ -119,6 +128,9 @@ impl core::fmt::Display for SrsfError {
             SrsfError::EmptyPointSet => write!(f, "the point set is empty"),
             SrsfError::NonFinitePoint { index } => {
                 write!(f, "point {index} has a non-finite coordinate")
+            }
+            SrsfError::CoincidentPoints { first, second } => {
+                write!(f, "points {first} and {second} coincide")
             }
             SrsfError::InvalidTolerance { tol } => {
                 write!(f, "tolerance must be positive and finite, got {tol}")

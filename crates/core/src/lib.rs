@@ -59,8 +59,8 @@ pub use stats::{CompressionTelemetry, FactorStats};
 /// small seeded Rademacher sketch and pivots on that, verifying the
 /// tolerance a-posteriori and falling back to the full CPQR when the
 /// sketch cannot certify it — see `srsf_linalg::rid` for the algorithm
-/// and `skeletonize` for the block-by-block assembly and the FFT leaf
-/// fast path.
+/// and `skeletonize` for the block-by-block assembly and the symbol
+/// table that serves unmodified grid blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Compression {

@@ -35,23 +35,19 @@
 //! (`2 l ≥ m`) the box falls back to the deterministic
 //! [`interp_decomp`] — accuracy is never worse than the CPQR baseline.
 //!
-//! ## FFT leaf fast path
+//! ## Symbol table
 //!
-//! At the leaf level the ring blocks of a translation-invariant kernel
-//! ([`Kernel::is_translation_invariant`]) on the uniform unit grid are
-//! untouched kernel evaluations with the structure
-//! `A[i,j] = s_i · t(x_i − x_j) · s_j`. The symbol `t` is tabulated once
-//! per factorization — one kernel evaluation per *offset* — and such
-//! blocks either assemble by table lookup (no transcendentals) or are
-//! applied to the sketch through the [`Toeplitz2D`] circulant embedding:
-//! one scatter, FFT convolution, and gather per sketch row and
-//! direction, without materializing the block at all. Schur updates
-//! destroy the structure above the leaves (and on modified leaf pairs,
-//! which `BlockStore::contains` detects), so those blocks always go the
-//! dense route. A per-box cost model picks whichever application is
-//! cheaper: at the paper's default leaf size (64) the table-assembled
-//! GEMM wins and the FFT convolution stays cold, while large uniform
-//! leaves flip the inequality.
+//! For a translation-invariant kernel ([`Kernel::is_translation_invariant`])
+//! on the uniform unit grid, every unmodified off-diagonal block has the
+//! structure `A[i,j] = s_i · t(x_i − x_j) · s_j`. The symbol `t` is
+//! tabulated once per factorization — one kernel evaluation per grid
+//! *offset* — and such blocks assemble by table lookup instead of one
+//! transcendental evaluation per entry. The table is built under
+//! sketched compression only; `CompressionCtx::get_block` then serves the
+//! ring sketches, the Schur updates and the dense top block from it when
+//! the pair is untouched. Schur updates destroy the structure, so
+//! modified pairs (which `BlockStore::contains` detects) and diagonal
+//! blocks always come from the store, as does the full CPQR stack.
 //!
 //! Independently, a (complex-)symmetric kernel ([`Kernel::is_symmetric`])
 //! with real entries makes the forward and adjoint blocks of an
@@ -62,7 +58,6 @@
 
 use crate::store::{ActiveSets, BlockStore};
 use crate::{Compression, CompressionTelemetry, FactorOpts};
-use srsf_fft::toeplitz::Toeplitz2D;
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::neighbors::dist2_ring;
 use srsf_geometry::point::Point;
@@ -70,7 +65,7 @@ use srsf_geometry::proxy::{proxy_circle_from_unit, proxy_count, unit_circle};
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::gemm::matmul_acc;
-use srsf_linalg::rid::{derive_seed, id_from_sketch, sketch_block, sketch_sign, RID_VERIFY_ROWS};
+use srsf_linalg::rid::{derive_seed, id_from_sketch, sketch_block, RID_VERIFY_ROWS};
 use srsf_linalg::{c64, interp_decomp, IdResult, Mat, Scalar};
 
 /// Per-level proxy geometry, computed once per factorization: all boxes
@@ -82,22 +77,20 @@ struct LevelGeom {
     unit: Vec<Point>,
 }
 
-/// The leaf-level Toeplitz operator of a translation-invariant kernel on
-/// the uniform grid, plus its per-point scaling and the raw symbol table
-/// the operator was built from.
-struct LeafFft {
+/// The symbol table of a translation-invariant kernel on the uniform
+/// grid, plus its per-point scaling.
+struct SymbolTable {
     side: usize,
-    toeplitz: Toeplitz2D,
     /// `s_i` per grid point; empty = identity (Laplace).
     scale: Vec<f64>,
     /// Raw symbol `t(dx, dy)`, row-major over `dy, dx ∈ [-(side-1),
     /// side-1]` — one kernel evaluation per *offset* instead of per
-    /// entry, so unmodified leaf blocks assemble by table lookup with no
+    /// entry, so unmodified blocks assemble by table lookup with no
     /// transcendentals.
     table: Vec<c64>,
 }
 
-impl LeafFft {
+impl SymbolTable {
     #[inline]
     fn scale_at(&self, i: usize) -> f64 {
         if self.scale.is_empty() {
@@ -107,13 +100,11 @@ impl LeafFft {
         }
     }
 
-    /// Assemble an unmodified leaf block from the symbol table:
-    /// `A[i,j] = s_i · t(x_i − x_j) · s_j` (`t` conjugated for the
-    /// adjoint direction — the symbol is even, so only the conjugate
-    /// distinguishes `A_{B,M}ᴴ` from `A_{M,B}` entries). Offsets between
-    /// grid points are exact dyadics, so for an unscaled kernel the table
-    /// entries are the very bits `Kernel::entry` would produce.
-    fn table_block<T: Scalar>(&self, rows_act: &[u32], cols_act: &[u32], conj: bool) -> Mat<T> {
+    /// Assemble an unmodified off-diagonal block from the table:
+    /// `A[i,j] = s_i · t(x_i − x_j) · s_j`. Offsets between grid points
+    /// are exact dyadics, so for an unscaled kernel the table entries are
+    /// the very bits `Kernel::entry` would produce.
+    fn block<T: Scalar>(&self, rows_act: &[u32], cols_act: &[u32]) -> Mat<T> {
         let w = 2 * self.side - 1;
         let off = (self.side - 1) as i64;
         let coords = |g: &u32| {
@@ -130,20 +121,9 @@ impl LeafFft {
             let (ix, iy, si) = rc[i];
             let (jx, jy, sj) = cc[j];
             let t = self.table[((iy - jy + off) as usize) * w + (ix - jx + off) as usize];
-            let t = if conj { t.conj() } else { t };
             T::from_re_im(t.re, t.im).scale(si * sj)
         })
     }
-}
-
-/// Overrides the FFT cost model — tests force the path on small problems
-/// where the model would (correctly) pick dense.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(not(test), allow(dead_code))] // Always/Never are test-only overrides
-pub(crate) enum FftGate {
-    Auto,
-    Always,
-    Never,
 }
 
 /// Immutable per-factorization compression state, built once per driver
@@ -157,8 +137,7 @@ pub struct CompressionCtx {
     /// Indexed by tree level `0..=leaf`.
     geoms: Vec<LevelGeom>,
     leaf_level: u8,
-    leaf_fft: Option<LeafFft>,
-    fft_gate: FftGate,
+    symbols: Option<SymbolTable>,
 }
 
 impl CompressionCtx {
@@ -189,8 +168,8 @@ impl CompressionCtx {
             })
             .collect();
         let sketched = matches!(opts.compression, Compression::Sketched { .. });
-        let leaf_fft = if sketched && kernel.is_translation_invariant() {
-            detect_unit_grid(pts).map(|side| build_leaf_fft(kernel, pts, side))
+        let symbols = if sketched && kernel.is_translation_invariant() {
+            detect_unit_grid(pts).map(|side| build_symbol_table(kernel, pts, side))
         } else {
             None
         };
@@ -199,21 +178,8 @@ impl CompressionCtx {
             seed_id: kernel.seed_id(),
             geoms,
             leaf_level: leaf,
-            leaf_fft,
-            fft_gate: FftGate::Auto,
+            symbols,
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn with_fft_gate(mut self, gate: FftGate) -> Self {
-        self.fft_gate = gate;
-        self
-    }
-
-    /// Whether the leaf FFT operator was built (translation-invariant
-    /// kernel on a detected uniform grid under sketched compression).
-    pub fn has_leaf_fft(&self) -> bool {
-        self.leaf_fft.is_some()
     }
 
     fn geom(&self, level: u8) -> &LevelGeom {
@@ -235,11 +201,9 @@ impl CompressionCtx {
         m: &BoxId,
         b: &BoxId,
     ) -> Mat<K::Elem> {
-        if m != b {
-            if let Some(f) = &self.leaf_fft {
-                if self.fft_gate != FftGate::Never && !store.contains(m, b) {
-                    return f.table_block(act.get(m), act.get(b), false);
-                }
+        if let Some(t) = &self.symbols {
+            if m != b && !store.contains(m, b) {
+                return t.block(act.get(m), act.get(b));
             }
         }
         store.get(m, b, act)
@@ -247,8 +211,11 @@ impl CompressionCtx {
 }
 
 /// Detect whether `pts` is exactly the row-major [`UnitGrid`] layout with
-/// a power-of-two side (bitwise comparison — the FFT identity is exact
-/// only for the true grid).
+/// a power-of-two side (bitwise comparison). A power-of-two side makes
+/// the grid spacing and every coordinate difference an exact dyadic, so
+/// each offset's table entry is bit-equal to `Kernel::entry` for every
+/// pair realizing it — off the true grid the table would only
+/// approximate the kernel.
 fn detect_unit_grid(pts: &[Point]) -> Option<usize> {
     let n = pts.len();
     let side = (n as f64).sqrt().round() as usize;
@@ -265,11 +232,11 @@ fn detect_unit_grid(pts: &[Point]) -> Option<usize> {
     Some(side)
 }
 
-/// Build the leaf Toeplitz operator: symbol `t(d) = entry / (s_i s_j)` at
-/// a representative grid pair realizing each offset, `t(0,0) = 0` (ring
-/// blocks never pair a point with itself). Requires the symmetric-kernel
-/// contract of [`Kernel::is_translation_invariant`] (`t(−d) = t(d)`).
-fn build_leaf_fft<K: Kernel>(kernel: &K, pts: &[Point], side: usize) -> LeafFft {
+/// Tabulate the symbol `t(d) = entry / (s_i s_j)` at a representative
+/// grid pair realizing each offset, `t(0,0) = 0` (off-diagonal blocks
+/// never pair a point with itself). Requires the contract of
+/// [`Kernel::is_translation_invariant`].
+fn build_symbol_table<K: Kernel>(kernel: &K, pts: &[Point], side: usize) -> SymbolTable {
     let n = side * side;
     let scale_full: Vec<f64> = (0..n).map(|i| kernel.point_scale(i)).collect();
     let identity = scale_full.iter().all(|&s| s == 1.0);
@@ -279,7 +246,7 @@ fn build_leaf_fft<K: Kernel>(kernel: &K, pts: &[Point], side: usize) -> LeafFft 
     for dy in -off..=off {
         for dx in -off..=off {
             if dx == 0 && dy == 0 {
-                continue; // ring blocks never pair a point with itself
+                continue; // off-diagonal blocks never pair a point with itself
             }
             let (i, j) = offset_pair(side, dx, dy);
             let e = kernel.entry(pts, i, j);
@@ -288,12 +255,8 @@ fn build_leaf_fft<K: Kernel>(kernel: &K, pts: &[Point], side: usize) -> LeafFft 
                 c64::new(e.re() / ss, e.im() / ss);
         }
     }
-    let toeplitz = Toeplitz2D::new(side, |dx, dy| {
-        table[((dy + off) as usize) * w + (dx + off) as usize]
-    });
-    LeafFft {
+    SymbolTable {
         side,
-        toeplitz,
         scale: if identity { Vec::new() } else { scale_full },
         table,
     }
@@ -437,8 +400,8 @@ pub fn skeletonize<K: Kernel>(
 }
 
 /// Form `Y = Ω · [proxy stack]` block by block, without materializing the
-/// stack: dense `Ω_blk · A_blk` GEMMs for modified/ineligible blocks, the
-/// Toeplitz FFT path for unmodified translation-invariant leaf blocks.
+/// stack: one `Ω_blk · A_blk` GEMM per ring block and direction (one per
+/// pair when the pair fuses) and per proxy block.
 #[allow(clippy::too_many_arguments)]
 fn sketch_proxy<K: Kernel>(
     store: &BlockStore<'_, K>,
@@ -466,169 +429,53 @@ fn sketch_proxy<K: Kernel>(
 
     let mut y = Mat::<K::Elem>::zeros(rows, nb);
 
-    // Partition ring blocks into FFT-eligible (leaf level, unmodified
-    // pair, operator available) and dense, tracking each block's row
-    // offset in the virtual tall stack — the offset keys the sketch
-    // columns, so the partition never changes the result, only the route.
-    let fft = ctx
-        .leaf_fft
-        .as_ref()
-        .filter(|_| b.level == ctx.leaf_level && ctx.fft_gate != FftGate::Never);
-    let mut fwd_elig: Vec<(usize, BoxId)> = Vec::new();
-    let mut adj_elig: Vec<(usize, BoxId)> = Vec::new();
-    let mut r0 = 0;
-    for m in ring {
-        let am = act.get(m).len();
-        if fft.is_some() && !store.contains(m, b) {
-            fwd_elig.push((r0, *m));
-        }
-        r0 += am;
-        if fft.is_some() && !store.contains(b, m) {
-            adj_elig.push((r0, *m));
-        }
-        r0 += am;
-    }
-    let ring_rows = r0 / 2;
-
-    // Cost model: an FFT direction costs one length-(2S)^2 convolution
-    // per sketch row; the dense route costs the symbol-table lookup of
-    // the eligible entries plus their GEMM flops. ~10 flops per FFT
-    // butterfly point, ~4 per table lookup.
-    let use_fft = match (fft, ctx.fft_gate) {
-        (None, _) | (_, FftGate::Never) => false,
-        (Some(_), FftGate::Always) => true,
-        (Some(f), FftGate::Auto) => {
-            let elig_rows: usize = fwd_elig
-                .iter()
-                .chain(adj_elig.iter())
-                .map(|(_, m)| act.get(m).len())
-                .sum();
-            let n_dirs = usize::from(!fwd_elig.is_empty()) + usize::from(!adj_elig.is_empty());
-            let big = 2 * f.side;
-            let fft_cost = n_dirs as f64
-                * rows as f64
-                * 10.0
-                * (big * big) as f64
-                * ((big * big) as f64).log2();
-            let dense_cost = elig_rows as f64 * nb as f64 * (4.0 + 2.0 * rows as f64);
-            fft_cost < dense_cost
-        }
-    };
-    if !use_fft {
-        fwd_elig.clear();
-        adj_elig.clear();
-    }
-
-    // Dense route: walk the ring with running offsets; every direction
-    // not claimed by the FFT route is materialized — from the symbol
-    // table when the pair is an untouched leaf kernel block, from the
-    // store otherwise — and GEMMed into Y, pairwise-fused when the
-    // kernel allows it.
+    // Ring blocks, walked with running offsets into the virtual tall
+    // stack — the offset keys the sketch columns.
     let mut r0 = 0;
     for m in ring {
         let am = act.get(m).len();
         let (fwd_off, adj_off) = (r0, r0 + am);
         r0 += 2 * am;
-        let fwd_un = !store.contains(m, b);
-        let adj_un = !store.contains(b, m);
-        let (fwd_fft, adj_fft) = (use_fft && fwd_un, use_fft && adj_un);
-        if fwd_fft && adj_fft {
-            continue;
-        }
-        if !fwd_fft && !adj_fft && fuse && fwd_un && adj_un {
-            let blk = match fft {
-                Some(f) => f.table_block::<K::Elem>(act.get(m), a_b, false),
-                None => store.get(m, b, act),
-            };
+        if fuse && !store.contains(m, b) && !store.contains(b, m) {
+            let blk = ctx.get_block(store, act, m, b);
             let mut omega = sketch_block::<K::Elem>(seed, rows, fwd_off, am);
             omega.axpy(K::Elem::ONE, &sketch_block(seed, rows, adj_off, am));
             matmul_acc(&mut y, K::Elem::ONE, &omega, &blk);
             tel.dense_block_applies += 2;
             continue;
         }
-        if !fwd_fft {
-            let blk = match (fwd_un, fft) {
-                (true, Some(f)) => f.table_block::<K::Elem>(act.get(m), a_b, false),
-                _ => store.get(m, b, act),
-            };
-            let omega = sketch_block::<K::Elem>(seed, rows, fwd_off, am);
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &blk);
-            tel.dense_block_applies += 1;
-        }
-        if !adj_fft {
-            let blk = match (adj_un, fft) {
-                (true, Some(f)) => f.table_block::<K::Elem>(act.get(m), a_b, true),
-                _ => store.get(b, m, act).adjoint(),
-            };
-            let omega = sketch_block::<K::Elem>(seed, rows, adj_off, am);
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &blk);
-            tel.dense_block_applies += 1;
-        }
-    }
-
-    // Proxy blocks: always dense (proxy points live off-grid). The same
-    // pairwise fusion applies — for a real symmetric kernel the
-    // conjugated column block *is* the row block.
-    {
-        let p_row = Mat::from_fn(n_proxy, nb, |p, j| {
-            kernel.proxy_row(pts, circle[p], a_b[j] as usize)
-        });
-        let mut omega = sketch_block::<K::Elem>(seed, rows, 2 * ring_rows, n_proxy);
-        if fuse {
-            omega.axpy(
-                K::Elem::ONE,
-                &sketch_block(seed, rows, 2 * ring_rows + n_proxy, n_proxy),
-            );
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &p_row);
-        } else {
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &p_row);
-            let p_col = Mat::from_fn(n_proxy, nb, |p, j| {
-                kernel.proxy_col(pts, a_b[j] as usize, circle[p]).conj()
-            });
-            let omega = sketch_block::<K::Elem>(seed, rows, 2 * ring_rows + n_proxy, n_proxy);
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &p_col);
-        }
+        let fwd = ctx.get_block(store, act, m, b);
+        let omega = sketch_block::<K::Elem>(seed, rows, fwd_off, am);
+        matmul_acc(&mut y, K::Elem::ONE, &omega, &fwd);
+        let adj = ctx.get_block(store, act, b, m).adjoint();
+        let omega = sketch_block::<K::Elem>(seed, rows, adj_off, am);
+        matmul_acc(&mut y, K::Elem::ONE, &omega, &adj);
         tel.dense_block_applies += 2;
     }
+    let ring_rows = r0 / 2;
 
-    // FFT route: per sketch row and direction, scatter ω·s over the grid,
-    // convolve once for *all* eligible blocks of that direction (their
-    // active sets are disjoint), and gather at the box's points.
-    // Forward blocks contribute `s_j · (T v)[g_j]`, adjoint blocks the
-    // conjugate — see `build_leaf_fft` for the symbol contract.
-    if use_fft && (!fwd_elig.is_empty() || !adj_elig.is_empty()) {
-        // INVARIANT: use_fft is only true when `fft` is Some.
-        let f = fft.expect("fft operator gated above");
-        let s2 = f.side * f.side;
-        let mut scratch = f.toeplitz.scratch();
-        let mut v = vec![c64::ZERO; s2];
-        let mut out = vec![c64::ZERO; s2];
-        for r in 0..rows {
-            for (elig, conj) in [(&fwd_elig, false), (&adj_elig, true)] {
-                if elig.is_empty() {
-                    continue;
-                }
-                v.fill(c64::ZERO);
-                for (off, m) in elig {
-                    for (i, &gi) in act.get(m).iter().enumerate() {
-                        let w = sketch_sign(seed, r, off + i) * f.scale_at(gi as usize);
-                        v[gi as usize] = c64::new(w, 0.0);
-                    }
-                }
-                f.toeplitz.apply_into(&v, &mut out, &mut scratch);
-                for (j, &gj) in a_b.iter().enumerate() {
-                    let t = if conj {
-                        out[gj as usize].conj()
-                    } else {
-                        out[gj as usize]
-                    };
-                    let val = K::Elem::from_re_im(t.re, t.im).scale(f.scale_at(gj as usize));
-                    y.col_mut(j)[r] += val;
-                }
-            }
-        }
-        tel.fft_block_applies += (fwd_elig.len() + adj_elig.len()) as u64;
+    // Proxy blocks (proxy points live off-grid, so always kernel
+    // evaluations). The same pairwise fusion applies — for a real
+    // symmetric kernel the conjugated column block *is* the row block.
+    let p_row = Mat::from_fn(n_proxy, nb, |p, j| {
+        kernel.proxy_row(pts, circle[p], a_b[j] as usize)
+    });
+    let mut omega = sketch_block::<K::Elem>(seed, rows, 2 * ring_rows, n_proxy);
+    if fuse {
+        omega.axpy(
+            K::Elem::ONE,
+            &sketch_block(seed, rows, 2 * ring_rows + n_proxy, n_proxy),
+        );
+        matmul_acc(&mut y, K::Elem::ONE, &omega, &p_row);
+    } else {
+        matmul_acc(&mut y, K::Elem::ONE, &omega, &p_row);
+        let p_col = Mat::from_fn(n_proxy, nb, |p, j| {
+            kernel.proxy_col(pts, a_b[j] as usize, circle[p]).conj()
+        });
+        let omega = sketch_block::<K::Elem>(seed, rows, 2 * ring_rows + n_proxy, n_proxy);
+        matmul_acc(&mut y, K::Elem::ONE, &omega, &p_col);
     }
+    tel.dense_block_applies += 2;
 
     y
 }
@@ -838,93 +685,67 @@ mod tests {
         );
     }
 
-    /// Forcing the FFT route must exercise it (telemetry) and still meet
-    /// the far-field bound — the Toeplitz application is exact on
-    /// unmodified leaf blocks, so only the sketch statistics change.
+    /// Tabled blocks are the kernel blocks: on an unmodified off-diagonal
+    /// leaf pair `get_block` (table) must match `store.get` (kernel
+    /// evaluation) — bit for bit for Laplace, whose entries are a pure
+    /// function of the exact dyadic offset, and to rounding for Helmholtz,
+    /// whose sqrt(b) scaling is divided out of the table and multiplied
+    /// back in.
     #[test]
-    fn sketched_fft_path_compresses_true_far_field() {
-        let (grid, k, tree) = setup(32, 64);
-        let pts = grid.points();
-        let store = BlockStore::new(&k, &pts);
-        let act = leaf_actives(&grid, &tree);
-        let opts = FactorOpts {
-            tol: 1e-8,
-            ..FactorOpts::default().with_compression(Compression::sketched())
-        };
-        let ctx = CompressionCtx::new(&k, &pts, &tree, &opts).with_fft_gate(FftGate::Always);
-        assert!(ctx.has_leaf_fft(), "unit grid + Laplace must detect");
-        let b = BoxId {
-            level: tree.leaf_level(),
-            ix: 1,
-            iy: 2,
-        };
-        let (id, tel) = skeletonize(&store, &act, &tree, &b, &opts, &ctx);
-        assert!(tel.fft_block_applies > 0, "FFT path should have run");
-        assert_far_field_bound(
-            &true_far_field(&store, &act, &tree, &b),
-            &id,
-            "FFT-sketched",
-        );
-    }
-
-    /// The FFT route and the dense route apply the same operator: the
-    /// sketches they produce agree to rounding, for both paper kernels
-    /// (identity scaling and sqrt(b) scaling).
-    #[test]
-    fn fft_and_dense_sketches_agree() {
-        // Laplace (f64, identity scale).
+    fn table_blocks_match_kernel_blocks() {
         let (grid, k, tree) = setup(16, 16);
         let pts = grid.points();
-        let store = BlockStore::new(&k, &pts);
         let act = leaf_actives(&grid, &tree);
         let opts = FactorOpts::default();
+        let lvl = tree.leaf_level();
         let b = BoxId {
-            level: tree.leaf_level(),
+            level: lvl,
             ix: 0,
             iy: 3,
         };
-        let ring: Vec<BoxId> = dist2_ring(&b)
+        let pairs: Vec<(BoxId, BoxId)> = dist2_ring(&b)
             .into_iter()
-            .filter(|m| !act.get(m).is_empty())
+            .flat_map(|m| [(m, b), (b, m)])
             .collect();
-        let ctx_d = CompressionCtx::new(&k, &pts, &tree, &opts).with_fft_gate(FftGate::Never);
-        let ctx_f = CompressionCtx::new(&k, &pts, &tree, &opts).with_fft_gate(FftGate::Always);
-        let mut t1 = CompressionTelemetry::default();
-        let mut t2 = CompressionTelemetry::default();
-        let yd = sketch_proxy(&store, &act, &tree, &b, &ctx_d, &ring, 12, 99, &mut t1);
-        let yf = sketch_proxy(&store, &act, &tree, &b, &ctx_f, &ring, 12, 99, &mut t2);
-        assert!(t1.fft_block_applies == 0 && t2.fft_block_applies > 0);
-        let scale = fro_norm(&yd);
-        assert!(
-            srsf_linalg::norms::max_abs_diff(&yd, &yf) < 1e-12 * scale,
-            "dense vs FFT sketch disagree"
-        );
+        assert!(!pairs.is_empty());
 
-        // Helmholtz (c64, sqrt(b) scaling exercises the scale vector and
-        // the conjugated adjoint direction).
+        let store = BlockStore::new(&k, &pts);
+        let ctx = CompressionCtx::new(&k, &pts, &tree, &opts);
+        assert!(ctx.symbols.is_some(), "unit grid + Laplace must tabulate");
+        for (m, n) in &pairs {
+            assert!(!store.contains(m, n));
+            assert_eq!(
+                ctx.get_block(&store, &act, m, n),
+                store.get(m, n, &act),
+                "Laplace {m:?} x {n:?}"
+            );
+        }
+
         let hk = HelmholtzKernel::new(&grid, 10.0);
         let hstore = BlockStore::new(&hk, &pts);
-        let hd = CompressionCtx::new(&hk, &pts, &tree, &opts).with_fft_gate(FftGate::Never);
-        let hf = CompressionCtx::new(&hk, &pts, &tree, &opts).with_fft_gate(FftGate::Always);
-        let mut t3 = CompressionTelemetry::default();
-        let mut t4 = CompressionTelemetry::default();
-        let zd = sketch_proxy(&hstore, &act, &tree, &b, &hd, &ring, 12, 99, &mut t3);
-        let zf = sketch_proxy(&hstore, &act, &tree, &b, &hf, &ring, 12, 99, &mut t4);
-        assert!(t4.fft_block_applies > 0);
-        let hscale = fro_norm(&zd);
+        let hctx = CompressionCtx::new(&hk, &pts, &tree, &opts);
         assert!(
-            srsf_linalg::norms::max_abs_diff(&zd, &zf) < 1e-12 * hscale,
-            "Helmholtz dense vs FFT sketch disagree"
+            hctx.symbols.is_some(),
+            "unit grid + Helmholtz must tabulate"
         );
+        for (m, n) in &pairs {
+            let want = hstore.get(m, n, &act);
+            let got = hctx.get_block(&hstore, &act, m, n);
+            assert!(
+                srsf_linalg::norms::max_abs_diff(&got, &want) <= 1e-14 * fro_norm(&want),
+                "Helmholtz {m:?} x {n:?}"
+            );
+        }
     }
 
-    /// Scattered (non-grid) points must not detect as a grid.
+    /// Scattered (non-grid) points must not detect as a grid, so no
+    /// symbol table is built.
     #[test]
-    fn no_fft_operator_off_grid() {
+    fn no_symbol_table_off_grid() {
         let pts = srsf_geometry::grid::scattered_points(256, 7);
         let k = LaplaceKernel::with_params(1.0 / 256.0, 1.0);
         let tree = QuadTree::build(&pts, BBox::UNIT, 16);
         let ctx = CompressionCtx::new(&k, &pts, &tree, &FactorOpts::default());
-        assert!(!ctx.has_leaf_fft());
+        assert!(ctx.symbols.is_none());
     }
 }

@@ -8,16 +8,16 @@
 //!
 //! Three application paths share the record data:
 //!
-//! * **Single vector** ([`apply_inverse`]) — level-2 matvecs per record;
+//! * **Single vector** (`apply_inverse`) — level-2 matvecs per record;
 //!   this is what the distributed driver's rank-local solve uses, where
 //!   each rank holds one slice of one right-hand side.
-//! * **Blocked multi-RHS** ([`apply_inverse_mat`]) — the same sweeps over
+//! * **Blocked multi-RHS** (`apply_inverse_mat`) — the same sweeps over
 //!   an `n x nrhs` [`Mat`]: row-block gather/scatter plus `T^H B_S`,
 //!   `L^{-1} P B_R`, and the Schur subtractions as GEMM/blocked-TRSM
 //!   calls into `srsf-linalg`. This is the hot path of a served
 //!   deployment, where the factorization is amortized over many incident
 //!   right-hand sides at once.
-//! * **Color-scheduled threaded apply** ([`apply_inverse_mat_threaded`])
+//! * **Color-scheduled threaded apply** (`apply_inverse_mat_threaded`)
 //!   — records carry a `(level, color)` stamp from factorization time;
 //!   contiguous same-stamp runs are applied concurrently under
 //!   `std::thread::scope`. With the distance-3 `Nine` coloring all record
@@ -25,7 +25,7 @@
 //!   additionally shares additive neighbor updates. Both run the same
 //!   snapshot-read compute phase followed by a fixed-order merge
 //!   (mirroring `eliminate_color_round`), so the result is bit-identical
-//!   to the serial [`apply_inverse_mat`] for any thread count.
+//!   to the serial `apply_inverse_mat` for any thread count.
 
 use crate::elimination::BoxElimination;
 use crate::sequential::Factorization;

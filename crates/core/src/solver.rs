@@ -222,21 +222,19 @@ impl<T: Scalar> Solver<T> {
     /// world (records applied where they live); otherwise on the local
     /// factorization object.
     ///
-    /// Panics if a resident rank fails mid-solve; use
-    /// [`Solver::try_solve`] to observe that as a typed
-    /// [`SrsfError::RankFailed`] instead.
+    /// Panics wherever [`Solver::try_solve`] returns an error: a
+    /// right-hand side of the wrong length or with a non-finite entry, or
+    /// a resident rank failing mid-solve.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        match &self.backend {
-            SolverBackend::Local(f) => f.solve(b),
-            SolverBackend::Resident(s) => s.solve(b),
-        }
+        // INVARIANT: deliberate — the panicking convenience wrapper over
+        // try_solve, for callers with no error path
+        self.try_solve(b).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Solver::solve`]. A right-hand side of the wrong
-    /// length is [`SrsfError::RhsLength`] (where the infallible
-    /// [`Solver::solve`] panics), and one with a NaN or infinite entry is
-    /// [`SrsfError::NonFiniteRhs`]; beyond that, local backends cannot
-    /// fail. In residency mode a rank that dies (or a link that goes
+    /// length is [`SrsfError::RhsLength`], and one with a NaN or infinite
+    /// entry is [`SrsfError::NonFiniteRhs`]; beyond that, local backends
+    /// cannot fail. In residency mode a rank that dies (or a link that goes
     /// down) mid-solve surfaces as [`SrsfError::RankFailed`] within the
     /// receive timeout — no hang, no abort — and later solves fail fast
     /// with the same error. The degraded solver still shuts down (or
@@ -291,26 +289,26 @@ impl<T: Scalar> Solver<T> {
     pub fn apply_inverse(&self, b: &mut [T]) {
         match &self.backend {
             SolverBackend::Local(f) => f.apply_inverse(b),
-            SolverBackend::Resident(s) => b.copy_from_slice(&s.solve(b)),
+            SolverBackend::Resident(_) => b.copy_from_slice(&self.solve(b)),
         }
     }
 
     /// Solve `A X = B` for every column of `b` at once (one blocked
     /// sweep over the records instead of `nrhs` vector sweeps). In
     /// residency mode the column block is scattered by row ownership and
-    /// swept in place on the rank world.
+    /// swept in place on the rank world. Panics wherever
+    /// [`Solver::try_solve_mat`] returns an error.
     pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        match &self.backend {
-            SolverBackend::Local(f) => f.solve_mat(b),
-            SolverBackend::Resident(s) => s.solve_mat(b),
-        }
+        // INVARIANT: deliberate — the panicking convenience wrapper over
+        // try_solve_mat, for callers with no error path
+        self.try_solve_mat(b).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Apply the approximate inverse to an `n x nrhs` block in place.
     pub fn apply_inverse_mat(&self, b: &mut Mat<T>) {
         match &self.backend {
             SolverBackend::Local(f) => f.apply_inverse_mat(b),
-            SolverBackend::Resident(s) => *b = s.solve_mat(b),
+            SolverBackend::Resident(_) => *b = self.solve_mat(b),
         }
     }
 
@@ -324,7 +322,7 @@ impl<T: Scalar> Solver<T> {
     pub fn apply_inverse_mat_threaded(&self, b: &mut Mat<T>, n_threads: usize) {
         match &self.backend {
             SolverBackend::Local(f) => f.apply_inverse_mat_threaded(b, n_threads),
-            SolverBackend::Resident(s) => *b = s.solve_mat(b),
+            SolverBackend::Resident(_) => *b = self.solve_mat(b),
         }
     }
 
@@ -333,7 +331,7 @@ impl<T: Scalar> Solver<T> {
     pub fn apply_inverse_threaded(&self, b: &mut [T], n_threads: usize) {
         match &self.backend {
             SolverBackend::Local(f) => f.apply_inverse_threaded(b, n_threads),
-            SolverBackend::Resident(s) => b.copy_from_slice(&s.solve(b)),
+            SolverBackend::Resident(_) => b.copy_from_slice(&self.solve(b)),
         }
     }
 
@@ -567,6 +565,17 @@ fn check_rhs<T: Scalar>(n: usize, rows: usize, data: &[T]) -> Result<(), SrsfErr
     }
 }
 
+/// The first pair of points with exactly equal coordinates, as `(earlier,
+/// later)` index — one hash-set pass, O(N). `-0.0` is normalized to `0.0`
+/// so the bit patterns compare like the values.
+fn coincident_pair(pts: &[Point]) -> Option<(usize, usize)> {
+    let key = |v: f64| (v + 0.0).to_bits();
+    let mut seen = std::collections::HashMap::with_capacity(pts.len());
+    pts.iter()
+        .enumerate()
+        .find_map(|(i, p)| seen.insert((key(p.x), key(p.y)), i).map(|first| (first, i)))
+}
+
 /// Configures and builds a [`Solver`]; created by [`Solver::builder`].
 #[derive(Clone, Debug)]
 pub struct SolverBuilder<'a, K: Kernel> {
@@ -765,6 +774,9 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
             .position(|p| !(p.x.is_finite() && p.y.is_finite()))
         {
             return Err(SrsfError::NonFinitePoint { index });
+        }
+        if let Some((first, second)) = coincident_pair(pts) {
+            return Err(SrsfError::CoincidentPoints { first, second });
         }
         if !(opts.tol > 0.0 && opts.tol.is_finite()) {
             return Err(SrsfError::InvalidTolerance { tol: opts.tol });

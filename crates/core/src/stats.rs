@@ -14,8 +14,8 @@ pub struct CompressionTelemetry {
     /// Boxes that exhausted the sketch budget and fell back to the full
     /// deterministic CPQR.
     pub sketch_fallbacks: u64,
-    /// Ring/proxy blocks applied to the sketch through the Toeplitz FFT
-    /// fast path.
+    /// Always 0: no sketch block is applied by FFT. Kept so the wire and
+    /// checkpoint frame formats stay unchanged.
     pub fft_block_applies: u64,
     /// Ring/proxy blocks applied to the sketch as dense GEMMs (always 0
     /// under [`crate::Compression::Cpqr`], which forms no sketch).
@@ -55,8 +55,8 @@ pub struct FactorStats {
     pub record_bytes: usize,
     /// Peak bytes held by the modified-block store.
     pub peak_store_bytes: usize,
-    /// Randomized-compression behavior (retries, fallbacks, FFT vs dense
-    /// sketch block applications).
+    /// Randomized-compression behavior (retries, fallbacks, and sketch
+    /// block applications).
     pub compression: CompressionTelemetry,
 }
 

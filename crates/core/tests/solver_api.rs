@@ -2,7 +2,8 @@
 //! driver equivalence.
 
 use srsf_core::{Driver, FactorOpts, Factorized, Solver, SrsfError};
-use srsf_geometry::grid::UnitGrid;
+use srsf_geometry::grid::{scattered_points, UnitGrid};
+use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
 use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
@@ -184,6 +185,45 @@ fn non_finite_point_is_an_error() {
     }
 }
 
+/// A duplicated point makes an off-diagonal entry a singular
+/// self-interaction; the build must reject it instead of factoring a
+/// matrix that solves to non-finite values.
+#[test]
+fn coincident_points_are_an_error() {
+    let mut pts = scattered_points(1024, 7);
+    pts[500] = pts[10];
+    let kernel = LaplaceKernel::with_params(1.0 / 1024.0, 1.0);
+    for driver in [Driver::Sequential, Driver::distributed(4)] {
+        let err = Solver::builder(&kernel, &pts)
+            .leaf_size(16)
+            .driver(driver)
+            .resident(true)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SrsfError::CoincidentPoints {
+                first: 10,
+                second: 500
+            },
+            "{driver:?}"
+        );
+    }
+
+    // Signed zeros are the same coordinate.
+    let mut pts = scattered_points(64, 3);
+    pts[2] = Point::new(0.0, 0.5);
+    pts[40] = Point::new(-0.0, 0.5);
+    let kernel = LaplaceKernel::with_params(1.0 / 64.0, 1.0);
+    assert_eq!(
+        Solver::builder(&kernel, &pts).build().unwrap_err(),
+        SrsfError::CoincidentPoints {
+            first: 2,
+            second: 40
+        }
+    );
+}
+
 #[test]
 fn non_finite_rhs_is_an_error_on_every_solve_entry_point() {
     let grid = UnitGrid::new(32);
@@ -219,6 +259,38 @@ fn non_finite_rhs_is_an_error_on_every_solve_entry_point() {
         let x = s.try_solve(&random_vector::<f64>(n, 4)).unwrap();
         assert!(x.iter().all(|v| v.is_finite()), "{driver:?}");
     }
+}
+
+/// The panicking solves run the same right-hand-side check as their
+/// fallible twins instead of returning NaN.
+#[test]
+#[should_panic(expected = "is not finite")]
+fn panicking_solve_rejects_non_finite_rhs() {
+    let grid = UnitGrid::new(16);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let s = Solver::builder(&kernel, &pts)
+        .leaf_size(16)
+        .build()
+        .unwrap();
+    let mut b = vec![1.0; pts.len()];
+    b[3] = f64::NAN;
+    let _ = s.solve(&b);
+}
+
+#[test]
+#[should_panic(expected = "is not finite")]
+fn panicking_solve_mat_rejects_non_finite_rhs() {
+    let grid = UnitGrid::new(16);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let s = Solver::builder(&kernel, &pts)
+        .leaf_size(16)
+        .build()
+        .unwrap();
+    let mut b = srsf_linalg::Mat::from_fn(pts.len(), 2, |i, j| (i + j) as f64);
+    b[(5, 1)] = f64::INFINITY;
+    let _ = s.solve_mat(&b);
 }
 
 #[test]

@@ -54,98 +54,28 @@ impl Toeplitz2D {
         self.m
     }
 
-    /// Allocate a reusable scratch buffer for [`Toeplitz2D::apply_into`].
-    ///
-    /// One `2m x 2m` complex buffer — the single allocation every apply
-    /// needs. Callers in a loop (the sketch accumulation applies the same
-    /// operator once per sketch row) allocate it once and reuse it.
-    pub fn scratch(&self) -> ToeplitzScratch {
-        ToeplitzScratch {
-            buf: vec![c64::ZERO; self.big * self.big],
-        }
-    }
-
-    /// `y = A x` into a caller-provided output, reusing `scratch` —
-    /// the allocation-free path behind [`Toeplitz2D::apply`].
-    pub fn apply_into(&self, x: &[c64], y: &mut [c64], scratch: &mut ToeplitzScratch) {
-        let m = self.m;
-        assert_eq!(x.len(), m * m, "vector length must be m^2");
-        assert_eq!(y.len(), m * m, "output length must be m^2");
-        let buf = self.convolve(scratch, |buf, big| {
-            for iy in 0..m {
-                buf[iy * big..iy * big + m].copy_from_slice(&x[iy * m..(iy + 1) * m]);
-            }
-        });
-        for iy in 0..m {
-            y[iy * m..(iy + 1) * m].copy_from_slice(&buf[iy * self.big..iy * self.big + m]);
-        }
-    }
-
-    /// `y = A x` for `x` of length `m*m` in row-major grid order.
+    /// `y = A x` for `x` of length `m*m` in row-major grid order: zero the
+    /// `2m x 2m` embedding buffer, pack `x` into its top-left corner, then
+    /// FFT -> pointwise symbol multiply -> inverse FFT, and read `y` back
+    /// from the same corner.
     pub fn apply(&self, x: &[c64]) -> Vec<c64> {
-        let mut y = vec![c64::ZERO; self.m * self.m];
-        self.apply_into(x, &mut y, &mut self.scratch());
-        y
-    }
-
-    /// Real-input apply into a caller-provided real output: packs `x`
-    /// straight into the embedding buffer and extracts real parts straight
-    /// out of it — no intermediate complex vectors.
-    pub fn apply_real_into(&self, x: &[f64], y: &mut [f64], scratch: &mut ToeplitzScratch) {
-        let m = self.m;
+        let (m, big) = (self.m, self.big);
         assert_eq!(x.len(), m * m, "vector length must be m^2");
-        assert_eq!(y.len(), m * m, "output length must be m^2");
-        let buf = self.convolve(scratch, |buf, big| {
-            for iy in 0..m {
-                for ix in 0..m {
-                    buf[iy * big + ix] = c64::new(x[iy * m + ix], 0.0);
-                }
-            }
-        });
+        let mut buf = vec![c64::ZERO; big * big];
         for iy in 0..m {
-            for ix in 0..m {
-                y[iy * m + ix] = buf[iy * self.big + ix].re;
-            }
+            buf[iy * big..iy * big + m].copy_from_slice(&x[iy * m..(iy + 1) * m]);
         }
-    }
-
-    /// Real-symbol convenience: `y = A x` with real input/output.
-    pub fn apply_real(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.m * self.m];
-        self.apply_real_into(x, &mut y, &mut self.scratch());
-        y
-    }
-
-    /// Shared circulant convolution: zero the embedding buffer, let the
-    /// caller pack the top-left `m x m` corner, then FFT -> pointwise
-    /// symbol multiply -> inverse FFT. Returns the buffer for extraction.
-    fn convolve<'s>(
-        &self,
-        scratch: &'s mut ToeplitzScratch,
-        pack: impl FnOnce(&mut [c64], usize),
-    ) -> &'s [c64] {
-        let big = self.big;
-        assert_eq!(
-            scratch.buf.len(),
-            big * big,
-            "scratch sized for a different operator"
-        );
-        scratch.buf.fill(c64::ZERO);
-        pack(&mut scratch.buf, big);
-        self.plan.forward(&mut scratch.buf);
-        for (b, s) in scratch.buf.iter_mut().zip(self.symbol_hat.iter()) {
+        self.plan.forward(&mut buf);
+        for (b, s) in buf.iter_mut().zip(self.symbol_hat.iter()) {
             *b *= *s;
         }
-        self.plan.inverse(&mut scratch.buf);
-        &scratch.buf
+        self.plan.inverse(&mut buf);
+        let mut y = vec![c64::ZERO; m * m];
+        for iy in 0..m {
+            y[iy * m..(iy + 1) * m].copy_from_slice(&buf[iy * big..iy * big + m]);
+        }
+        y
     }
-}
-
-/// Reusable workspace for [`Toeplitz2D::apply_into`] /
-/// [`Toeplitz2D::apply_real_into`]; obtain from [`Toeplitz2D::scratch`].
-#[derive(Clone, Debug)]
-pub struct ToeplitzScratch {
-    buf: Vec<c64>,
 }
 
 #[cfg(test)]
@@ -203,12 +133,11 @@ mod tests {
         let x: Vec<f64> = (0..m * m)
             .map(|i| ((i * 31) % 17) as f64 / 17.0 - 0.5)
             .collect();
-        let top = Toeplitz2D::new(m, t);
-        let fast = top.apply_real(&x);
         let xc: Vec<c64> = x.iter().map(|&v| c64::new(v, 0.0)).collect();
+        let fast = Toeplitz2D::new(m, t).apply(&xc);
         let want = dense_apply(m, &t, &xc);
         for (a, b) in fast.iter().zip(want.iter()) {
-            assert!((a - b.re).abs() < 1e-9);
+            assert!((a.re - b.re).abs() < 1e-9);
         }
     }
 
@@ -226,58 +155,6 @@ mod tests {
         let y = Toeplitz2D::new(m, t).apply(&x);
         for (a, b) in y.iter().zip(x.iter()) {
             assert!((*a - *b).norm() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn apply_into_reuses_scratch_and_matches_apply() {
-        let m = 8;
-        let t = |dx: i64, dy: i64| {
-            if dx == 0 && dy == 0 {
-                c64::ZERO
-            } else {
-                let r = ((dx * dx + dy * dy) as f64).sqrt();
-                c64::new(1.0 / r, 0.3 / r)
-            }
-        };
-        let top = Toeplitz2D::new(m, t);
-        let mut scratch = top.scratch();
-        let mut y = vec![c64::ZERO; m * m];
-        for trial in 0..3 {
-            // Same scratch across applies; a stale buffer would corrupt
-            // later results.
-            let x: Vec<c64> = (0..m * m)
-                .map(|i| c64::new((i + trial) as f64, (i % 5) as f64 - 2.0))
-                .collect();
-            top.apply_into(&x, &mut y, &mut scratch);
-            let want = top.apply(&x);
-            for (a, b) in y.iter().zip(want.iter()) {
-                assert!((*a - *b).norm() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn apply_real_into_matches_complex_path() {
-        let m = 16;
-        let h = 1.0 / m as f64;
-        let t = move |dx: i64, dy: i64| {
-            if dx == 0 && dy == 0 {
-                c64::ZERO
-            } else {
-                let r = h * ((dx * dx + dy * dy) as f64).sqrt();
-                c64::new(-r.ln(), 0.0)
-            }
-        };
-        let top = Toeplitz2D::new(m, t);
-        let mut scratch = top.scratch();
-        let x: Vec<f64> = (0..m * m).map(|i| ((i * 7) % 23) as f64 - 11.0).collect();
-        let mut y = vec![0.0; m * m];
-        top.apply_real_into(&x, &mut y, &mut scratch);
-        let xc: Vec<c64> = x.iter().map(|&v| c64::new(v, 0.0)).collect();
-        let want = top.apply(&xc);
-        for (a, b) in y.iter().zip(want.iter()) {
-            assert!((a - b.re).abs() < 1e-10);
         }
     }
 

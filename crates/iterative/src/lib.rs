@@ -7,8 +7,8 @@
 //! GMRES(20) counts that motivate a direct method in the first place.
 //!
 //! * [`op`] — the [`op::LinOp`] operator abstraction plus residual helpers.
-//! * [`cg`] — conjugate gradients and preconditioned CG.
-//! * [`gmres`] — restarted GMRES with optional (right) preconditioning.
+//! * [`cg`](mod@cg) — conjugate gradients and preconditioned CG.
+//! * [`gmres`](mod@gmres) — restarted GMRES with optional (right) preconditioning.
 
 #![forbid(unsafe_code)]
 

@@ -39,13 +39,12 @@ pub trait Kernel: Send + Sync {
     /// True when off-diagonal entries factor as
     /// `A[i,j] = point_scale(i) · t(x_i − x_j) · point_scale(j)` with a
     /// real scaling and an *even* symbol (`t(−d) = t(d)`) — the structure
-    /// the FFT leaf fast path exploits: on a uniform grid, unmodified
-    /// blocks can then be applied through a Toeplitz circulant embedding,
-    /// or assembled from a precomputed symbol table, instead of being
-    /// evaluated entry by entry. Both paper kernels qualify (Laplace
-    /// exactly, Helmholtz with `point_scale = sqrt(b_i)`). Defaults to
-    /// `false`; claiming it wrongly produces wrong answers, not just slow
-    /// ones.
+    /// the factorization's symbol table exploits: on a uniform grid,
+    /// unmodified blocks are then assembled from one kernel evaluation per
+    /// offset instead of being evaluated entry by entry. Both paper
+    /// kernels qualify (Laplace exactly, Helmholtz with `point_scale =
+    /// sqrt(b_i)`). Defaults to `false`; claiming it wrongly produces
+    /// wrong answers, not just slow ones.
     fn is_translation_invariant(&self) -> bool {
         false
     }

@@ -4,7 +4,7 @@
 //! note).** The paper runs on up to 1024 processes of NERSC Perlmutter
 //! via Julia's `Distributed.jl`. This crate runs the same message-passing
 //! programs on a single host over either of two backends, selected per
-//! [`World`](world::World):
+//! [`World`]:
 //!
 //! * [`Transport::InProc`] — every rank is an OS thread; tagged byte
 //!   messages move through in-memory channels. Fast, deterministic, the

@@ -1,6 +1,6 @@
 //! Pluggable message transports: ranks as threads or as real OS processes.
 //!
-//! A [`World`](crate::world::World) runs the same rank closure over one of
+//! A [`World`] runs the same rank closure over one of
 //! two backends, selected with [`Transport`]:
 //!
 //! * [`Transport::InProc`] — every rank is an OS thread of the calling
@@ -18,7 +18,7 @@
 //! Both backends implement [`RankTransport`] — tagged point-to-point
 //! send/recv with out-of-order buffering, plus a barrier — and the
 //! communication counters are maintained *above* the trait (in
-//! [`RankCtx`](crate::world::RankCtx)), so per-rank message/word counts
+//! [`RankCtx`]), so per-rank message/word counts
 //! are identical across backends by construction: the paper's §IV bounds
 //! measured over TCP are measurements of real inter-process traffic.
 //!
@@ -370,7 +370,7 @@ impl RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// The backend surface a [`RankCtx`](crate::world::RankCtx) runs on:
+/// The backend surface a [`RankCtx`] runs on:
 /// tagged point-to-point messaging with out-of-order buffering, plus a
 /// barrier. Implementations do **not** count traffic — the counters live
 /// in `RankCtx`, which is what makes the counts backend-invariant.

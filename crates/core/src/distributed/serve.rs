@@ -15,7 +15,7 @@
 //! level-3 kernels of [`crate::solve`].
 //!
 //! **Bit-exactness.** The resident solve reproduces the gathered
-//! [`Factorization::apply_inverse_mat`](crate::Factorization) sweep *bit
+//! [`Factorized::apply_inverse_mat`](crate::Factorized) sweep *bit
 //! for bit* (asserted in `tests/resident_serve.rs`): per-rank records are
 //! applied in global elimination-order (the sorted order key), and the
 //! neighbor delta shipped for a remote row is the very `EN · B_R` GEMM
@@ -801,7 +801,7 @@ impl<T: Scalar> ResidentService<T> {
     /// Solve `A X = B` on the resident world: scatter B's rows by leaf
     /// ownership, run the distributed blocked solve in place, gather the
     /// solution rows. Bit-identical to the gathered factorization's
-    /// [`crate::Factorization::solve_mat`].
+    /// [`crate::Factorized::solve_mat`].
     ///
     /// A rank that dies (or a link that goes down) mid-solve surfaces as
     /// [`SrsfError::RankFailed`] within the receive timeout — no hang,
@@ -857,7 +857,7 @@ impl<T: Scalar> ResidentService<T> {
     /// the one-column case of [`ResidentService::try_solve_mat`].
     pub fn try_solve(&self, b: &[T]) -> Result<Vec<T>, SrsfError> {
         let m = Mat::from_vec(b.len(), 1, b.to_vec());
-        Ok(self.try_solve_mat(&m)?.as_slice().to_vec())
+        Ok(self.try_solve_mat(&m)?.into_vec())
     }
 
     /// Snapshot every rank's cumulative communication counters (the

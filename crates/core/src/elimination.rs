@@ -13,7 +13,6 @@ use crate::skeletonize::{skeletonize, CompressionCtx};
 use crate::store::{ActiveSets, BlockStore};
 use crate::{CompressionTelemetry, FactorOpts};
 use srsf_geometry::neighbors::near_field;
-use srsf_geometry::procgrid::BoxColoring;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::gemm::{adjoint_matmul_acc, adjoint_matmul_sub, matmul, matmul_sub};
@@ -25,15 +24,6 @@ use srsf_linalg::{Lu, Mat, Scalar};
 pub struct BoxElimination<T> {
     /// The eliminated box.
     pub box_id: BoxId,
-    /// Tree level of the box, stamped for the solve-phase scheduler.
-    pub level: u8,
-    /// Schedule color stamped at factorization time: the paper's
-    /// geometric four-coloring by default, restamped by the colored
-    /// driver with its own scheme. Contiguous same-`(level, color)` runs
-    /// of records are what the threaded apply processes concurrently —
-    /// same-color boxes sit at box distance >= 2, so their records read
-    /// disjoint entries and overlap only in additive neighbor updates.
-    pub color: u8,
     /// Global point ids of the redundant DOFs (eliminated here).
     pub redundant: Vec<u32>,
     /// Global point ids of the skeleton DOFs (stay active).
@@ -285,8 +275,6 @@ pub fn eliminate_box<K: Kernel>(
 
     let record = BoxElimination {
         box_id: *b,
-        level: b.level,
-        color: BoxColoring::Four.color(b),
         redundant: red_positions.iter().map(|&p| a_b[p]).collect(),
         skel: skel_positions.iter().map(|&p| a_b[p]).collect(),
         nbr: nbrs

@@ -14,10 +14,9 @@ use crate::colored::{eliminate_color_round, ColorScheme};
 use crate::elimination::{apply_output, BoxElimination, FactorError};
 use crate::levels::merge_to_parent;
 use crate::skeletonize::CompressionCtx;
-use crate::solve;
 use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
-use crate::FactorOpts;
+use crate::{FactorOpts, Factorized};
 use srsf_geometry::point::{BBox, Point};
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
@@ -27,7 +26,7 @@ use std::time::Instant;
 /// The strong recursive skeletonization factorization of a kernel matrix.
 ///
 /// Stores the per-box elimination records in elimination order plus the
-/// dense factorization of the top block; [`Factorization::solve`] applies
+/// dense factorization of the top block; its [`Factorized`] methods apply
 /// the approximate inverse in O(N).
 pub struct Factorization<T> {
     pub(crate) n: usize,
@@ -42,49 +41,6 @@ impl<T: Scalar> Factorization<T> {
     /// Problem size `N`.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Apply the approximate inverse in place: `b := A^{-1} b`.
-    pub fn apply_inverse(&self, b: &mut [T]) {
-        solve::apply_inverse(self, b);
-    }
-
-    /// Solve `A x = b`.
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x = b.to_vec();
-        self.apply_inverse(&mut x);
-        x
-    }
-
-    /// Apply the approximate inverse to an `n x nrhs` block of right-hand
-    /// sides in place: `B := A^{-1} B`, one GEMM-driven sweep over the
-    /// records instead of `nrhs` vector sweeps.
-    pub fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        solve::apply_inverse_mat(self, b);
-    }
-
-    /// Solve `A X = B` for every column of `b` at once.
-    pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        let mut x = b.clone();
-        self.apply_inverse_mat(&mut x);
-        x
-    }
-
-    /// Blocked apply scheduled over `n_threads` workers by the records'
-    /// `(level, color)` stamps; bit-identical to
-    /// [`Factorization::apply_inverse_mat`] for any thread count. Runs of
-    /// same-color records (whole rounds for a colored-driver
-    /// factorization) compute concurrently and merge in record order.
-    pub fn apply_inverse_mat_threaded(&self, b: &mut Mat<T>, n_threads: usize) {
-        solve::apply_inverse_mat_threaded(self, b, n_threads);
-    }
-
-    /// Threaded single-batch apply of one right-hand side vector; see
-    /// [`Factorization::apply_inverse_mat_threaded`].
-    pub fn apply_inverse_threaded(&self, b: &mut [T], n_threads: usize) {
-        let mut m = Mat::from_vec(b.len(), 1, b.to_vec());
-        solve::apply_inverse_mat_threaded(self, &mut m, n_threads);
-        b.copy_from_slice(m.as_slice());
     }
 
     /// Factorization statistics (ranks per level, timings, memory).
@@ -142,7 +98,7 @@ impl<T: Scalar> LinOp<T> for Factorization<T> {
     /// Applying the factorization as an operator means applying the
     /// approximate **inverse** — this is what makes it a preconditioner.
     fn apply(&self, x: &[T]) -> Vec<T> {
-        self.solve(x)
+        Factorized::solve(self, x)
     }
 }
 
@@ -165,8 +121,8 @@ pub fn domain_for(pts: &[Point]) -> BBox {
 /// fixes the elimination order — and with it the bits of the result —
 /// independently of the thread counts.
 pub(crate) struct Schedule {
-    /// Box coloring: groups a level's boxes into rounds (colored driver)
-    /// and stamps every record's `color` for the threaded solve apply.
+    /// Box coloring that groups a level's boxes into rounds (colored
+    /// driver).
     scheme: ColorScheme,
     /// One round per box in row-major order (Algorithm 1) instead of one
     /// round per color class.
@@ -290,12 +246,7 @@ fn factorize_levels<K: Kernel>(
                     }
                     stats.compression.absorb(&out.compression);
                     apply_output(&mut store, &mut act, b, &out, &ctx);
-                    if let Some(mut rec) = out.record {
-                        // Stamp the schedule's color so the threaded
-                        // solve apply sees whole color rounds.
-                        rec.color = schedule.scheme.color(b);
-                        records.push(rec);
-                    }
+                    records.extend(out.record);
                 }
             }
             stats.eliminate_s += t0.elapsed().as_secs_f64();

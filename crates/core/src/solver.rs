@@ -24,9 +24,9 @@
 //! ```
 //!
 //! Whatever driver built it, the result is a [`Solver`] implementing the
-//! shared [`Factorized`] trait (`solve`, `apply_inverse`, `stats`,
-//! `memory_bytes`) and `LinOp` — so it plugs into the Krylov methods of
-//! `srsf-iterative` as a preconditioner unchanged.
+//! shared [`Factorized`] trait (`apply_inverse_mat` and the solves built
+//! on it, `stats`, `memory_bytes`) and `LinOp` — so it plugs into the
+//! Krylov methods of `srsf-iterative` as a preconditioner unchanged.
 
 use crate::distributed::{
     dist_factorize_resident, dist_factorize_with_tree, restore_resident_service, ResidentService,
@@ -35,6 +35,7 @@ use crate::error::SrsfError;
 use crate::sequential::{
     domain_for, factorize_scheduled, factorize_with_tree, Factorization, Schedule,
 };
+use crate::solve;
 use crate::stats::FactorStats;
 use crate::FactorOpts;
 use srsf_geometry::point::Point;
@@ -101,39 +102,38 @@ impl Driver {
 /// Object-safe on purpose: downstream code (preconditioned Krylov methods,
 /// benchmark harnesses) takes `&dyn Factorized<T>` and never needs to know
 /// how the factorization was scheduled.
+///
+/// The one required solve method is [`Factorized::apply_inverse_mat`],
+/// the blocked sweep over an `n x nrhs` block of right-hand sides. The
+/// single-vector methods run it on a one-column block, so `solve(b)`
+/// returns the same bits as `solve_mat` on the block `[b]`.
 pub trait Factorized<T: Scalar>: Sync {
     /// Problem size `N`.
     fn n(&self) -> usize;
 
-    /// Apply the approximate inverse in place: `b := A^{-1} b`.
-    fn apply_inverse(&self, b: &mut [T]);
-
-    /// Solve `A x = b`.
-    fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x = b.to_vec();
-        self.apply_inverse(&mut x);
-        x
-    }
-
     /// Apply the approximate inverse to every column of an `n x nrhs`
     /// block in place: `B := A^{-1} B`.
-    ///
-    /// The default forwards column-by-column through
-    /// [`Factorized::apply_inverse`]; implementations with a level-3
-    /// solve path (notably [`crate::Factorization`]) override it with one
-    /// GEMM-driven sweep that amortizes the record traffic over all
-    /// columns.
-    fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        for j in 0..b.ncols() {
-            self.apply_inverse(b.col_mut(j));
-        }
-    }
+    fn apply_inverse_mat(&self, b: &mut Mat<T>);
 
     /// Solve `A X = B` for every column of `b` at once.
     fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
         let mut x = b.clone();
         self.apply_inverse_mat(&mut x);
         x
+    }
+
+    /// Solve `A x = b`: the one-column case of
+    /// [`Factorized::apply_inverse_mat`].
+    fn solve(&self, b: &[T]) -> Vec<T> {
+        let mut x = Mat::from_vec(b.len(), 1, b.to_vec());
+        self.apply_inverse_mat(&mut x);
+        x.into_vec()
+    }
+
+    /// Apply the approximate inverse in place: `b := A^{-1} b`.
+    fn apply_inverse(&self, b: &mut [T]) {
+        let x = self.solve(b);
+        b.copy_from_slice(&x);
     }
 
     /// Factorization statistics (ranks per level, timings, memory).
@@ -147,11 +147,8 @@ impl<T: Scalar> Factorized<T> for Factorization<T> {
     fn n(&self) -> usize {
         Factorization::n(self)
     }
-    fn apply_inverse(&self, b: &mut [T]) {
-        Factorization::apply_inverse(self, b);
-    }
     fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        Factorization::apply_inverse_mat(self, b);
+        solve::apply_inverse_mat(self, b);
     }
     fn stats(&self) -> &FactorStats {
         Factorization::stats(self)
@@ -285,54 +282,14 @@ impl<T: Scalar> Solver<T> {
         })
     }
 
-    /// Apply the approximate inverse in place: `b := A^{-1} b`.
-    pub fn apply_inverse(&self, b: &mut [T]) {
-        match &self.backend {
-            SolverBackend::Local(f) => f.apply_inverse(b),
-            SolverBackend::Resident(_) => b.copy_from_slice(&self.solve(b)),
-        }
-    }
-
-    /// Solve `A X = B` for every column of `b` at once (one blocked
-    /// sweep over the records instead of `nrhs` vector sweeps). In
-    /// residency mode the column block is scattered by row ownership and
-    /// swept in place on the rank world. Panics wherever
+    /// Solve `A X = B` for every column of `b` in one sweep over the
+    /// records. In residency mode the column block is scattered by row
+    /// ownership and swept in place on the rank world. Panics wherever
     /// [`Solver::try_solve_mat`] returns an error.
     pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
         // INVARIANT: deliberate — the panicking convenience wrapper over
         // try_solve_mat, for callers with no error path
         self.try_solve_mat(b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Apply the approximate inverse to an `n x nrhs` block in place.
-    pub fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        match &self.backend {
-            SolverBackend::Local(f) => f.apply_inverse_mat(b),
-            SolverBackend::Resident(_) => *b = self.solve_mat(b),
-        }
-    }
-
-    /// Blocked apply scheduled over `n_threads` workers by the records'
-    /// `(level, color)` stamps; bit-identical to
-    /// [`Solver::apply_inverse_mat`] for any thread count. Whole color
-    /// rounds run concurrently when the factorization came from the
-    /// colored driver. In residency mode the solve is already
-    /// rank-parallel — the thread count is ignored and the resident sweep
-    /// runs instead.
-    pub fn apply_inverse_mat_threaded(&self, b: &mut Mat<T>, n_threads: usize) {
-        match &self.backend {
-            SolverBackend::Local(f) => f.apply_inverse_mat_threaded(b, n_threads),
-            SolverBackend::Resident(_) => *b = self.solve_mat(b),
-        }
-    }
-
-    /// Threaded apply of one right-hand side vector; see
-    /// [`Solver::apply_inverse_mat_threaded`].
-    pub fn apply_inverse_threaded(&self, b: &mut [T], n_threads: usize) {
-        match &self.backend {
-            SolverBackend::Local(f) => f.apply_inverse_threaded(b, n_threads),
-            SolverBackend::Resident(_) => b.copy_from_slice(&self.solve(b)),
-        }
     }
 
     /// Factorization statistics (ranks per level, timings, memory). In
@@ -515,15 +472,15 @@ impl<T: Scalar> core::fmt::Debug for Solver<T> {
     }
 }
 
+/// Every solve method goes through [`Solver::try_solve_mat`], so each
+/// runs the right-hand-side checks on every backend and panics where they
+/// return an error.
 impl<T: Scalar> Factorized<T> for Solver<T> {
     fn n(&self) -> usize {
         Solver::n(self)
     }
-    fn apply_inverse(&self, b: &mut [T]) {
-        Solver::apply_inverse(self, b);
-    }
     fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        Solver::apply_inverse_mat(self, b);
+        *b = Solver::solve_mat(self, b);
     }
     fn stats(&self) -> &FactorStats {
         Solver::stats(self)

@@ -88,8 +88,6 @@ impl Wire for FactorError {
 impl<T: Scalar> Wire for BoxElimination<T> {
     fn encode(&self, w: &mut ByteWriter) {
         put_box(w, &self.box_id);
-        // (level, color) scheduling stamp for the threaded solve apply.
-        w.put_u64(((self.level as u64) << 8) | self.color as u64);
         put_ids(w, &self.redundant);
         put_ids(w, &self.skel);
         put_ids(w, &self.nbr);
@@ -101,12 +99,8 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         w.put_mat(&self.fnb);
     }
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
-        let box_id = try_get_box(r)?;
-        let stamp = r.try_get_u64()?;
         Ok(BoxElimination {
-            box_id,
-            level: (stamp >> 8) as u8,
-            color: (stamp & 0xFF) as u8,
+            box_id: try_get_box(r)?,
             redundant: try_get_ids(r)?,
             skel: try_get_ids(r)?,
             nbr: try_get_ids(r)?,
@@ -218,7 +212,8 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// Container version; bump on any layout change.
 /// v2: `FactorStats` carries the four compression-telemetry counters.
 /// v3: `FactorStats` no longer carries a solve time.
-const CKPT_VERSION: u64 = 3;
+/// v4: `BoxElimination` no longer carries a `(level, color)` stamp.
+const CKPT_VERSION: u64 = 4;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.
@@ -501,6 +496,7 @@ pub(crate) fn decode_rank_snapshot<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Factorized;
     use srsf_linalg::{c64, Lu, Mat};
 
     fn sample_record<T: Scalar>(v: T) -> BoxElimination<T> {
@@ -510,8 +506,6 @@ mod tests {
                 ix: 5,
                 iy: 6,
             },
-            level: 3,
-            color: 2,
             redundant: vec![1, 2],
             skel: vec![3],
             nbr: vec![4, 5, 6],
@@ -532,7 +526,6 @@ mod tests {
         let rec = sample_record(1.5f64);
         let back = BoxElimination::<f64>::from_bytes(rec.to_bytes()).unwrap();
         assert_eq!(back.box_id, rec.box_id);
-        assert_eq!((back.level, back.color), (3, 2));
         assert_eq!(back.nbr, rec.nbr);
         assert_eq!(back.en, rec.en);
         let rec = sample_record(c64::new(0.5, -2.0));
@@ -596,10 +589,7 @@ mod tests {
         assert_eq!(back.top_size(), 3);
         assert_eq!(back.stats().avg_rank(2), Some(5.0));
         // Same solve behavior bit for bit.
-        let mut x1 = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-        let mut x2 = x1.clone();
-        f.apply_inverse(&mut x1);
-        back.apply_inverse(&mut x2);
-        assert_eq!(x1, x2);
+        let b = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
+        assert_eq!(Factorized::solve(&f, &b), Factorized::solve(&back, &b));
     }
 }

@@ -3,7 +3,7 @@
 //! tree assumption is presentational ("extensions are straightforward");
 //! the implementation must not silently depend on grid structure.
 
-use srsf_core::FactorOpts;
+use srsf_core::{FactorOpts, Factorized};
 use srsf_geometry::grid::scattered_points;
 use srsf_geometry::point::Point;
 use srsf_kernels::assemble::assemble_dense;

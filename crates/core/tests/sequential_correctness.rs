@@ -1,7 +1,7 @@
 //! End-to-end correctness of the sequential factorization against dense
 //! reference solves, for both paper kernels.
 
-use srsf_core::FactorOpts;
+use srsf_core::{FactorOpts, Factorized};
 use srsf_geometry::grid::UnitGrid;
 use srsf_kernels::assemble::assemble_dense;
 use srsf_kernels::helmholtz::HelmholtzKernel;

@@ -1,8 +1,7 @@
-//! The blocked multi-RHS solve path and the color-scheduled threaded
-//! apply: `solve_mat` must agree column-for-column with repeated single
-//! `solve` calls across scalar types and all three drivers, and the
-//! threaded apply must be bit-identical to the serial blocked apply for
-//! any thread count.
+//! The one solve sweep: `solve_mat` must agree column-for-column with
+//! repeated single `solve` calls across scalar types and all three
+//! drivers, and a single `solve` must be bit-identical to `solve_mat` on
+//! the one-column block, because it is that block's sweep.
 
 use srsf_core::colored::ColorScheme;
 use srsf_core::{Driver, FactorOpts, Factorized, Solver, SrsfError};
@@ -97,33 +96,35 @@ fn solve_mat_matches_repeated_solve_c64() {
 }
 
 #[test]
-fn trait_object_mat_solve_agrees_with_concrete() {
-    // The `Factorized` default (column-by-column) and the blocked
-    // override must agree to roundoff through the trait object.
+fn trait_object_solves_match_concrete_bitwise() {
+    // The `Factorized` provided methods route through the one required
+    // blocked sweep, on the solver and on its local factorization alike.
     let grid = UnitGrid::new(16);
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
     let f = Solver::builder(&kernel, &pts).opts(opts()).build().unwrap();
     let b = rhs_mat::<f64>(pts.len(), 5, 3);
-    let via_trait = {
-        let d: &dyn Factorized<f64> = &f;
-        d.solve_mat(&b)
-    };
-    let concrete = f.factorization().solve_mat(&b);
-    for j in 0..5 {
-        for (p, q) in via_trait.col(j).iter().zip(concrete.col(j).iter()) {
-            assert!((p - q).abs() <= 1e-10 * q.abs().max(1.0));
-        }
+    let concrete = f.solve_mat(&b);
+    for d in [&f as &dyn Factorized<f64>, f.factorization()] {
+        assert_eq!(d.solve_mat(&b), concrete);
+        let mut applied = b.clone();
+        d.apply_inverse_mat(&mut applied);
+        assert_eq!(applied, concrete);
+        let one = Mat::from_vec(pts.len(), 1, b.col(0).to_vec());
+        let want = f.solve_mat(&one);
+        assert_eq!(d.solve(b.col(0)), want.as_slice());
+        let mut v = b.col(0).to_vec();
+        d.apply_inverse(&mut v);
+        assert_eq!(v, want.as_slice());
     }
 }
 
-#[test]
-fn threaded_apply_bit_identical_to_serial() {
-    let grid = UnitGrid::new(32);
-    let kernel = LaplaceKernel::new(&grid);
-    let pts = grid.points();
-    // All stamp layouts: color rounds (Four and Nine) and the
-    // sequential driver's row-major stream (short runs, still exact).
+/// `solve(b)` must equal `solve_mat` of the one-column block `[b]` bit
+/// for bit: a single solve is that block's sweep, not a separate path.
+fn assert_single_solve_is_one_column_sweep<T: Scalar, K: Kernel<Elem = T>>(
+    kernel: &K,
+    pts: &[Point],
+) {
     let builds = vec![
         Driver::Sequential,
         Driver::Colored {
@@ -134,28 +135,39 @@ fn threaded_apply_bit_identical_to_serial() {
             scheme: ColorScheme::Nine,
             threads: 2,
         },
+        Driver::distributed(4),
     ];
     for driver in builds {
-        let f = Solver::builder(&kernel, &pts)
+        let f = Solver::builder(kernel, pts)
             .opts(opts())
             .driver(driver)
             .build()
             .unwrap();
-        let b = rhs_mat::<f64>(pts.len(), 4, 99);
-        let mut serial = b.clone();
-        f.apply_inverse_mat(&mut serial);
-        for threads in [1usize, 2, 3, 8] {
-            let mut par = b.clone();
-            f.apply_inverse_mat_threaded(&mut par, threads);
-            assert_eq!(serial, par, "driver {driver:?}, {threads} threads");
+        let b = random_vector::<T>(pts.len(), 99);
+        let x = f.solve(&b);
+        let xm = f.solve_mat(&Mat::from_vec(pts.len(), 1, b));
+        for (i, (p, q)) in x.iter().zip(xm.as_slice()).enumerate() {
+            assert_eq!(
+                (p.re().to_bits(), p.im().to_bits()),
+                (q.re().to_bits(), q.im().to_bits()),
+                "driver {driver:?}: entry {i}"
+            );
         }
-        // Single-vector threaded wrapper matches the nrhs=1 blocked path.
-        let mut v1 = b.col(0).to_vec();
-        f.apply_inverse_threaded(&mut v1, 4);
-        let mut m1 = Mat::from_vec(pts.len(), 1, b.col(0).to_vec());
-        f.apply_inverse_mat(&mut m1);
-        assert_eq!(v1.as_slice(), m1.as_slice(), "driver {driver:?} vec path");
     }
+}
+
+#[test]
+fn single_solve_is_one_column_sweep_bitwise_f64() {
+    let grid = UnitGrid::new(32);
+    let kernel = LaplaceKernel::new(&grid);
+    assert_single_solve_is_one_column_sweep(&kernel, &grid.points());
+}
+
+#[test]
+fn single_solve_is_one_column_sweep_bitwise_c64() {
+    let grid = UnitGrid::new(16);
+    let kernel = HelmholtzKernel::new(&grid, 12.0);
+    assert_single_solve_is_one_column_sweep(&kernel, &grid.points());
 }
 
 /// A rank-one "kernel": every interaction is 1, so any top block larger

@@ -293,6 +293,38 @@ fn panicking_solve_mat_rejects_non_finite_rhs() {
     let _ = s.solve_mat(&b);
 }
 
+/// The in-place `Factorized` applies check the right-hand side on a
+/// local backend too, instead of silently returning NaN.
+#[test]
+#[should_panic(expected = "is not finite")]
+fn factorized_apply_inverse_rejects_non_finite_rhs() {
+    let grid = UnitGrid::new(16);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let s = Solver::builder(&kernel, &pts)
+        .leaf_size(16)
+        .build()
+        .unwrap();
+    let mut b = vec![1.0; pts.len()];
+    b[7] = f64::NAN;
+    Factorized::apply_inverse(&s, &mut b);
+}
+
+#[test]
+#[should_panic(expected = "is not finite")]
+fn factorized_apply_inverse_mat_rejects_non_finite_rhs() {
+    let grid = UnitGrid::new(16);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let s = Solver::builder(&kernel, &pts)
+        .leaf_size(16)
+        .build()
+        .unwrap();
+    let mut b = srsf_linalg::Mat::from_fn(pts.len(), 3, |i, j| (i + j) as f64);
+    b[(2, 2)] = f64::NEG_INFINITY;
+    Factorized::apply_inverse_mat(&s, &mut b);
+}
+
 #[test]
 fn errors_display_and_propagate() {
     let e = SrsfError::GridTooLarge {

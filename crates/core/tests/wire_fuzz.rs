@@ -133,8 +133,6 @@ fn gen_record<T: Scalar>(rng: &mut Rng, v: impl Fn(&mut Rng) -> T) -> BoxElimina
     };
     BoxElimination {
         box_id: gen_box_id(rng),
-        level: rng.below(12) as u8,
-        color: rng.below(4) as u8,
         redundant: (0..nr).map(|_| rng.next() as u32).collect(),
         skel: (0..ns).map(|_| rng.next() as u32).collect(),
         nbr: (0..nn).map(|_| rng.next() as u32).collect(),

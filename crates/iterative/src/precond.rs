@@ -192,7 +192,7 @@ mod tests {
         fn n(&self) -> usize {
             self.n
         }
-        fn apply_inverse(&self, _b: &mut [f64]) {}
+        fn apply_inverse_mat(&self, _b: &mut srsf_linalg::Mat<f64>) {}
         fn stats(&self) -> &FactorStats {
             &self.stats
         }

@@ -381,33 +381,52 @@ fn gemm_dispatch<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View
     });
 }
 
-/// jki-order register-blocked kernel for small products and the oracle.
+/// jki-order kernel for small products and the test oracle: for each
+/// output column `j`, accumulate `alpha * b[l,j] * A[:,l]` in pairs of
+/// inner indices `(l, l + 1)`, each pair one fused multiply-add chain.
 fn gemm_naive<T: Scalar>(mut c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_, T>) {
-    let (m, n, k) = (c.rows, c.cols, a.cols);
-    if m == 0 || k == 0 {
+    if c.rows == 0 || a.cols == 0 {
         return;
     }
-    for j in 0..n {
-        let bcol = b.col(j);
-        let ccol = c.col_mut(j);
-        // Unroll over pairs of inner indices to expose ILP.
-        let mut l = 0;
-        while l + 1 < k {
-            let s0 = alpha * bcol[l];
-            let s1 = alpha * bcol[l + 1];
-            let a0 = a.col(l);
-            let a1 = a.col(l + 1);
-            for i in 0..m {
-                ccol[i] = a0[i].mul_add(s0, a1[i].mul_add(s1, ccol[i]));
-            }
-            l += 2;
+    let a_cols = &a.data[a.c0 * a.ld + a.r0..];
+    for j in 0..c.cols {
+        jki_column(c.col_mut(j), alpha, a_cols, a.ld, b.col(j));
+    }
+}
+
+/// `c += alpha * A x` for one output column, where column `l` of `A` is
+/// `a[l * ld..][..c.len()]`. Two pairs of inner indices share each pass
+/// over `c` (the rounding of one pass per pair, half the passes), and
+/// plain slice arguments tell the compiler that `c` overlaps no column of
+/// `A`, so the loops vectorize without runtime overlap checks.
+fn jki_column<T: Scalar>(c: &mut [T], alpha: T, a: &[T], ld: usize, x: &[T]) {
+    let m = c.len();
+    let col = |l: usize| &a[l * ld..l * ld + m];
+    let k = x.len();
+    let mut l = 0;
+    while l + 3 < k {
+        let (a0, a1, a2, a3) = (col(l), col(l + 1), col(l + 2), col(l + 3));
+        let (s0, s1) = (alpha * x[l], alpha * x[l + 1]);
+        let (s2, s3) = (alpha * x[l + 2], alpha * x[l + 3]);
+        for i in 0..m {
+            let t = a0[i].mul_add(s0, a1[i].mul_add(s1, c[i]));
+            c[i] = a2[i].mul_add(s2, a3[i].mul_add(s3, t));
         }
-        if l < k {
-            let s0 = alpha * bcol[l];
-            let a0 = a.col(l);
-            for i in 0..m {
-                ccol[i] = a0[i].mul_add(s0, ccol[i]);
-            }
+        l += 4;
+    }
+    if l + 1 < k {
+        let (a0, a1) = (col(l), col(l + 1));
+        let (s0, s1) = (alpha * x[l], alpha * x[l + 1]);
+        for i in 0..m {
+            c[i] = a0[i].mul_add(s0, a1[i].mul_add(s1, c[i]));
+        }
+        l += 2;
+    }
+    if l < k {
+        let a0 = col(l);
+        let s0 = alpha * x[l];
+        for i in 0..m {
+            c[i] = a0[i].mul_add(s0, c[i]);
         }
     }
 }
@@ -570,6 +589,37 @@ mod tests {
         let b = Mat::from_fn(3, 5, |i, j| c64::new(j as f64, -(i as f64)));
         let c = matmul(&a, &b);
         assert!(max_abs_diff(&c, &naive(&a, &b)) < 1e-12);
+    }
+
+    /// The jki kernel's rounding is pinned: each entry takes the fused
+    /// multiply-adds of the inner indices in pairs `(l, l + 1)`, in
+    /// order, however many columns one pass over `C` covers.
+    #[test]
+    fn naive_kernel_keeps_pairwise_fma_order() {
+        let x = |i: usize, j: usize| ((i * 7 + j * 3) % 23) as f64 * 0.37 - 2.9;
+        for (m, k) in [(1, 1), (5, 2), (9, 3), (33, 4), (17, 7), (40, 9)] {
+            let a = Mat::from_fn(m, k, x);
+            let b = Mat::from_fn(k, 2, |i, j| x(j, i) * 1.3);
+            let mut c = Mat::from_fn(m, 2, |i, j| x(i + j, 1));
+            let mut want = c.clone();
+            for j in 0..2 {
+                for i in 0..m {
+                    let s = |l: usize| -0.75 * b[(l, j)];
+                    let mut v = want[(i, j)];
+                    let mut l = 0;
+                    while l + 1 < k {
+                        v = a[(i, l)].mul_add(s(l), a[(i, l + 1)].mul_add(s(l + 1), v));
+                        l += 2;
+                    }
+                    if l < k {
+                        v = a[(i, l)].mul_add(s(l), v);
+                    }
+                    want[(i, j)] = v;
+                }
+            }
+            matmul_acc_naive(&mut c, -0.75, &a, &b);
+            assert_eq!(c, want, "m={m} k={k}");
+        }
     }
 
     #[test]

@@ -82,6 +82,11 @@ impl<T: Scalar> Mat<T> {
         &self.data
     }
 
+    /// The column-major data, consuming the matrix.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+    }
+
     /// Raw mutable column-major slice.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
@@ -213,18 +218,15 @@ impl<T: Scalar> Mat<T> {
     }
 
     /// Gather rows `idx` into a dense `idx.len() x ncols` matrix — the
-    /// multi-RHS analogue of the solve phase's vector gather. Indices may
-    /// repeat; they are read, never aliased mutably.
+    /// solve sweep's row-block read. Indices may repeat; they are read,
+    /// never aliased mutably.
     pub fn gather_rows(&self, idx: &[u32]) -> Mat<T> {
-        let mut out = Mat::zeros(idx.len(), self.ncols);
+        let mut data = Vec::with_capacity(idx.len() * self.ncols);
         for j in 0..self.ncols {
             let src = self.col(j);
-            let dst = out.col_mut(j);
-            for (k, &i) in idx.iter().enumerate() {
-                dst[k] = src[i as usize];
-            }
+            data.extend(idx.iter().map(|&i| src[i as usize]));
         }
-        out
+        Mat::from_vec(idx.len(), self.ncols, data)
     }
 
     /// Scatter `vals` back into rows `idx`: `self[idx[k], j] = vals[k, j]`.
@@ -241,8 +243,8 @@ impl<T: Scalar> Mat<T> {
     }
 
     /// Subtract `vals` from rows `idx`: `self[idx[k], j] -= vals[k, j]`.
-    /// Used to merge additive neighbor updates in a fixed record order so
-    /// the threaded solve apply stays bit-deterministic.
+    /// The solve sweep merges each record's additive neighbor update with
+    /// it.
     pub fn scatter_rows_sub(&mut self, idx: &[u32], vals: &Mat<T>) {
         assert_eq!(vals.nrows, idx.len());
         assert_eq!(vals.ncols, self.ncols);
@@ -312,36 +314,6 @@ impl<T: Scalar> Mat<T> {
             for i in 0..self.nrows {
                 y[i] += col[i] * xj;
             }
-        }
-    }
-
-    /// `y -= self * x`.
-    pub fn matvec_sub_into(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        for j in 0..self.ncols {
-            let xj = x[j];
-            if xj == T::ZERO {
-                continue;
-            }
-            let col = self.col(j);
-            for i in 0..self.nrows {
-                y[i] -= col[i] * xj;
-            }
-        }
-    }
-
-    /// `y += self^H * x` (adjoint matvec).
-    pub fn adjoint_matvec_acc_into(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.nrows);
-        assert_eq!(y.len(), self.ncols);
-        for j in 0..self.ncols {
-            let col = self.col(j);
-            let mut acc = T::ZERO;
-            for i in 0..self.nrows {
-                acc += col[i].conj() * x[i];
-            }
-            y[j] += acc;
         }
     }
 
@@ -486,12 +458,6 @@ mod tests {
         let mut acc = vec![1.0, 1.0];
         m.matvec_acc_into(&x, &mut acc);
         assert_eq!(acc, vec![-1.0, -1.0]);
-        let mut sub = vec![0.0, 0.0];
-        m.matvec_sub_into(&x, &mut sub);
-        assert_eq!(sub, vec![2.0, 2.0]);
-        let mut at = vec![0.0; 3];
-        m.adjoint_matvec_acc_into(&[1.0, 1.0], &mut at);
-        assert_eq!(at, vec![5.0, 7.0, 9.0]);
     }
 
     #[test]

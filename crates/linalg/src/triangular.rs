@@ -21,19 +21,7 @@ pub fn solve_lower_vec<T: Scalar>(l: &Mat<T>, unit_diag: bool, b: &mut [T]) {
     let n = l.nrows();
     assert_eq!(l.ncols(), n);
     assert_eq!(b.len(), n);
-    for j in 0..n {
-        if !unit_diag {
-            b[j] /= l[(j, j)];
-        }
-        let bj = b[j];
-        if bj == T::ZERO {
-            continue;
-        }
-        let col = l.col(j);
-        for i in (j + 1)..n {
-            b[i] -= col[i] * bj;
-        }
-    }
+    solve_lower_diag_block(l, 0, unit_diag, b);
 }
 
 /// In-place `b := U^{-1} b` with `U` upper triangular (vector RHS).
@@ -41,17 +29,42 @@ pub fn solve_upper_vec<T: Scalar>(u: &Mat<T>, unit_diag: bool, b: &mut [T]) {
     let n = u.nrows();
     assert_eq!(u.ncols(), n);
     assert_eq!(b.len(), n);
-    for j in (0..n).rev() {
+    solve_upper_diag_block(u, 0, unit_diag, b);
+}
+
+/// `x := L11^{-1} x` for the diagonal block `L11 = L[j0.., j0..]` of
+/// `x.len()` rows, read from `l` in place rather than copied out.
+fn solve_lower_diag_block<T: Scalar>(l: &Mat<T>, j0: usize, unit_diag: bool, x: &mut [T]) {
+    let nb = x.len();
+    for j in 0..nb {
         if !unit_diag {
-            b[j] /= u[(j, j)];
+            x[j] /= l[(j0 + j, j0 + j)];
         }
-        let bj = b[j];
-        if bj == T::ZERO {
+        let xj = x[j];
+        if xj == T::ZERO {
             continue;
         }
-        let col = u.col(j);
-        for i in 0..j {
-            b[i] -= col[i] * bj;
+        let col = &l.col(j0 + j)[j0 + j + 1..j0 + nb];
+        for (xi, &lij) in x[j + 1..].iter_mut().zip(col) {
+            *xi -= lij * xj;
+        }
+    }
+}
+
+/// `x := U11^{-1} x` for the diagonal block `U11 = U[j0.., j0..]` of
+/// `x.len()` rows, read from `u` in place rather than copied out.
+fn solve_upper_diag_block<T: Scalar>(u: &Mat<T>, j0: usize, unit_diag: bool, x: &mut [T]) {
+    for j in (0..x.len()).rev() {
+        if !unit_diag {
+            x[j] /= u[(j0 + j, j0 + j)];
+        }
+        let xj = x[j];
+        if xj == T::ZERO {
+            continue;
+        }
+        let col = &u.col(j0 + j)[j0..j0 + j];
+        for (xi, &uij) in x[..j].iter_mut().zip(col) {
+            *xi -= uij * xj;
         }
     }
 }
@@ -68,9 +81,10 @@ pub fn solve_lower_mat<T: Scalar>(l: &Mat<T>, unit_diag: bool, b: &mut Mat<T>) {
     while j0 < n {
         let nb = NB.min(n - j0);
         // Solve the diagonal block against rows j0..j0+nb of B.
-        let l11 = l.block(j0, j0, nb, nb);
         let mut b1 = b.block(j0, 0, nb, ncols);
-        solve_lower_mat_unblocked(&l11, unit_diag, &mut b1);
+        for c in 0..ncols {
+            solve_lower_diag_block(l, j0, unit_diag, b1.col_mut(c));
+        }
         b.set_block(j0, 0, &b1);
         // Propagate: B[j0+nb.., :] -= L[j0+nb.., j0..j0+nb] * B1.
         if j0 + nb < n {
@@ -100,9 +114,10 @@ pub fn solve_upper_mat<T: Scalar>(u: &Mat<T>, unit_diag: bool, b: &mut Mat<T>) {
     while jend > 0 {
         let nb = NB.min(jend);
         let j0 = jend - nb;
-        let u11 = u.block(j0, j0, nb, nb);
         let mut b1 = b.block(j0, 0, nb, ncols);
-        solve_upper_mat_unblocked(&u11, unit_diag, &mut b1);
+        for c in 0..ncols {
+            solve_upper_diag_block(u, j0, unit_diag, b1.col_mut(c));
+        }
         b.set_block(j0, 0, &b1);
         // Propagate upward: B[..j0, :] -= U[..j0, j0..jend] * B1.
         if j0 > 0 {
@@ -120,8 +135,8 @@ pub fn solve_upper_mat<T: Scalar>(u: &Mat<T>, unit_diag: bool, b: &mut Mat<T>) {
     }
 }
 
-/// Per-column reference form of [`solve_lower_mat`] (test oracle; also the
-/// diagonal-block kernel of the blocked path).
+/// Per-column form of [`solve_lower_mat`]: its path for triangles of at
+/// most `NB` rows, and the test oracle.
 #[doc(hidden)]
 pub fn solve_lower_mat_unblocked<T: Scalar>(l: &Mat<T>, unit_diag: bool, b: &mut Mat<T>) {
     assert_eq!(l.nrows(), b.nrows());
@@ -130,8 +145,8 @@ pub fn solve_lower_mat_unblocked<T: Scalar>(l: &Mat<T>, unit_diag: bool, b: &mut
     }
 }
 
-/// Per-column reference form of [`solve_upper_mat`] (test oracle; also the
-/// diagonal-block kernel of the blocked path).
+/// Per-column form of [`solve_upper_mat`]: its path for triangles of at
+/// most `NB` rows, and the test oracle.
 #[doc(hidden)]
 pub fn solve_upper_mat_unblocked<T: Scalar>(u: &Mat<T>, unit_diag: bool, b: &mut Mat<T>) {
     assert_eq!(u.nrows(), b.nrows());

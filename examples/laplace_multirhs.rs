@@ -26,9 +26,8 @@ fn main() {
         .expect("factorization");
     let tfact = t0.elapsed().as_secs_f64();
 
-    // All right-hand sides as one n x n_rhs block: the solve phase runs
-    // level-3 (GEMM/blocked-TRSM per record) instead of n_rhs separate
-    // vector sweeps.
+    // All right-hand sides as one n x n_rhs block: one level-3 sweep
+    // (GEMM/blocked-TRSM per record) instead of n_rhs one-column sweeps.
     let mut bmat = Mat::zeros(grid.n(), n_rhs);
     for seed in 0..n_rhs {
         bmat.col_mut(seed)
